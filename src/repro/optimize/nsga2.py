@@ -9,10 +9,12 @@ and serves two roles here:
 * a cost comparison — one NSGA-II run prices the entire front, while
   goal attainment prices one point per solve.
 
-Implementation: fast non-dominated sorting, crowding distance,
-binary-tournament selection with Deb's constraint-domination rule,
-simulated binary crossover (SBX) and polynomial mutation, all from
-scratch and deterministic under a seed.
+Implementation: non-dominated sorting peeled off one boolean
+constraint-domination matrix per sort (Deb's rule: feasible beats
+infeasible, the smaller violation wins between infeasible designs,
+Pareto dominance between feasible ones), crowding distance,
+binary-tournament selection, simulated binary crossover (SBX) and
+polynomial mutation, all from scratch and deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.optimize.metaheuristics import (
     _seed_population,
     latin_hypercube,
 )
+from repro.optimize.pareto import dominance_matrix
 
 __all__ = ["Nsga2Result", "nsga2"]
 
@@ -340,45 +343,47 @@ def _evaluate(problem, population, health=None):
     return objectives, violations
 
 
-def _constrained_dominates(i, j, objectives, violations) -> bool:
-    """Deb's rule: feasible beats infeasible; otherwise compare."""
-    vi, vj = violations[i], violations[j]
-    if vi <= 1e-12 and vj > 1e-12:
-        return True
-    if vi > 1e-12 and vj <= 1e-12:
-        return False
-    if vi > 1e-12 and vj > 1e-12:
-        return vi < vj
-    fi, fj = objectives[i], objectives[j]
-    return bool(np.all(fi <= fj) and np.any(fi < fj))
+def _constrained_dominance(objectives, violations) -> np.ndarray:
+    """``(n, n)`` matrix, ``[i, j]`` = *i* beats *j* under Deb's rule.
+
+    A feasible design (violation <= 1e-12) beats an infeasible one,
+    the smaller violation wins between two infeasible designs, and two
+    feasible designs compare by Pareto dominance.
+    """
+    v = np.asarray(violations, dtype=float)
+    vi, vj = v[:, None], v[None, :]
+    feasible_i, feasible_j = vi <= 1e-12, vj <= 1e-12
+    infeasible_i, infeasible_j = vi > 1e-12, vj > 1e-12
+    return np.select(
+        [feasible_i & infeasible_j, infeasible_i & feasible_j,
+         infeasible_i & infeasible_j],
+        [True, False, vi < vj],
+        default=dominance_matrix(objectives),
+    )
 
 
 def _nondominated_sort(objectives, violations) -> List[List[int]]:
-    n = len(objectives)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    fronts: List[List[int]] = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if _constrained_dominates(i, j, objectives, violations):
-                dominated_by[i].append(j)
-            elif _constrained_dominates(j, i, objectives, violations):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return fronts[:-1]
+    """Fronts of row indices, best first.
+
+    Front order is Deb's fast sort's: the first front ascends, and a
+    later front lists its members by the position of their last
+    dominator in the front before, then by index.  Environmental
+    selection keeps rows in this order and crowding ties resolve by it,
+    so any other order changes the run.
+    """
+    beats = _constrained_dominance(objectives, violations)
+    count = beats.sum(axis=0)
+    front = np.flatnonzero(count == 0)
+    fronts: List[List[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        beaten = beats[front]
+        count -= beaten.sum(axis=0)
+        freed = np.flatnonzero((count == 0) & beaten.any(axis=0))
+        # Position in this front of each freed row's last dominator.
+        last = len(front) - 1 - np.argmax(beaten[::-1, freed], axis=0)
+        front = freed[np.lexsort((freed, last))]
+    return fronts
 
 
 def _crowding_distance(front_objectives) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Pareto-front utilities for minimization problems.
 
 Used by experiment E6 to draw the NF/GT trade-off front and to score
-how close each optimizer's answers land to it.
+how close each optimizer's answers land to it, and by NSGA-II's
+non-dominated sort (:func:`dominance_matrix`).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "dominates",
+    "dominance_matrix",
     "pareto_filter",
     "hypervolume_2d",
     "sweep_goal_front",
@@ -25,24 +27,30 @@ def dominates(a, b, tolerance: float = 0.0) -> bool:
     return bool(np.all(a <= b + tolerance) and np.any(a < b - tolerance))
 
 
-def pareto_filter(points) -> np.ndarray:
-    """Indices of the non-dominated points, in input order.
+def dominance_matrix(points) -> np.ndarray:
+    """``(n, n)`` boolean matrix whose ``[i, j]`` says *i* dominates *j*.
 
-    O(n^2) pairwise scan — fine for the front sizes experiments produce.
+    Two broadcast ``(n, n)`` comparisons per objective instead of
+    n(n-1) calls to :func:`dominates`, with the same answer pair by
+    pair: a row holding a NaN neither dominates nor is dominated.
     """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for column in points.T:
+        a, b = column[:, None], column[None, :]
+        no_worse &= a <= b
+        better |= a < b
+    return no_worse & better
+
+
+def pareto_filter(points) -> np.ndarray:
+    """Indices of the non-dominated points, in input order."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be (n, m), got shape {points.shape}")
-    n = points.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        for j in range(n):
-            if i != j and keep[j] and dominates(points[j], points[i]):
-                keep[i] = False
-                break
-    return np.flatnonzero(keep)
+    return np.flatnonzero(~dominance_matrix(points).any(axis=0))
 
 
 def hypervolume_2d(points, reference) -> float:

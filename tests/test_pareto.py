@@ -13,6 +13,20 @@ from repro.optimize.pareto import (
 )
 
 
+def _reference_pareto_filter(points):
+    """The pairwise scan :func:`pareto_filter` must agree with."""
+    n = points.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        for j in range(n):
+            if i != j and keep[j] and dominates(points[j], points[i]):
+                keep[i] = False
+                break
+    return np.flatnonzero(keep)
+
+
 class TestDominance:
     def test_strict_dominance(self):
         assert dominates([1, 1], [2, 2])
@@ -47,6 +61,19 @@ class TestDominance:
             assert any(
                 dominates(points[j], points[idx]) for j in range(len(points))
             )
+
+    @pytest.mark.parametrize("n_obj", [1, 2, 3])
+    def test_filter_matches_pairwise_reference(self, n_obj):
+        rng = np.random.default_rng(n_obj)
+        for n in [1, 2] + rng.integers(3, 40, size=30).tolist():
+            points = rng.integers(0, 4, size=(n, n_obj)).astype(float)
+            copies = n // 3
+            if copies:
+                src, dst = rng.integers(n, size=(2, copies))
+                points[dst] = points[src]
+            points[rng.random(n) < 0.1, rng.integers(n_obj)] = np.nan
+            np.testing.assert_array_equal(pareto_filter(points),
+                                          _reference_pareto_filter(points))
 
     def test_filter_shape_validated(self):
         with pytest.raises(ValueError):
