@@ -42,8 +42,7 @@ def test_bench_robust_yield(save_report, report_dir, host_context):
     tolerances = ToleranceSpec()
     band = design_grid(13)
     guard = stability_grid(16)
-    compiled = CompiledTemplate(template, band, guard, verify=False,
-                                solver="auto")
+    compiled = CompiledTemplate(template, band, guard, verify=False)
 
     def scalar():
         return monte_carlo_yield(template, nominal, tolerances,

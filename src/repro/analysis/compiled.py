@@ -17,20 +17,21 @@ Two entry points:
   topology and returns a :class:`BatchACResult`.  Generic, but still
   pays per-candidate assembly cost; it is the fallback for arbitrary
   same-topology batches.
-* :func:`solve_tensor_batch` — the low-level core used by the compiled
-  LNA engine (:mod:`repro.core.engine`), which assembles the batch
-  tensor directly from a stamp plan and skips circuit construction
-  entirely.
+* :func:`solve_tensor_batch` — the low-level core of the compiled LNA
+  engine's dense reference tier and failed-row rescue
+  (:mod:`repro.core.engine`), which assembles the batch tensor directly
+  from a stamp plan and skips circuit construction entirely.
 
-Both entry points accept ``solver="dense"|"sparse"|"auto"``.  The
-sparse tier discovers the candidate-*in*dependent structure of the
-batch (entries identical across all B tensors), condenses it through
+Both entry points accept ``solver="dense"|"sparse"``.  Dense, the
+default here, is the reference kernel.  The sparse tier discovers the
+candidate-*in*dependent structure of the batch (entries identical
+across all B tensors), condenses it through
 :mod:`repro.analysis.sparsemna`'s Schur-complement plan, and solves
 only the small mutable system per candidate — numerically equivalent
 to the dense path to well under 1e-9 relative (enforced by
-``tests/test_random_circuits.py``).  ``"auto"`` picks by a
-deterministic structural cost model; the dense path remains the
-default and the reference.
+``tests/test_random_circuits.py``).  The compiled LNA engine builds
+its condensed plan once per topology instead and runs it by default;
+these generic kernels rediscover the structure on every call.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ from repro.analysis.acsolver import (
 )
 from repro.analysis.conditioning import equilibrated_solve, observe_condition
 from repro.analysis.netlist import Circuit
-from repro.analysis.sparsemna import (
-    MutableGroup,
-    PatternError,
-    build_plan,
-    structural_costs,
-)
+from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.guards import modes as _guard_modes
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracer as _obs_tracer
@@ -162,35 +158,22 @@ def _solve_tensor_sparse(
     rhs: np.ndarray,
     noise_sources: Sequence[BatchNoiseSource],
     probe_rows: Sequence[int],
-    require: bool,
 ):
     """The generic sparse/Schur branch of :func:`solve_tensor_batch`.
 
     The mutable structure is discovered from the batch itself: entries
     that differ from candidate 0 anywhere become single-entry update
     groups, everything else is the constant base that the plan
-    condenses.  Returns ``None`` to defer to the dense path — either
-    because ``solver="auto"``'s structural cost model prefers dense
-    (*require* false) or because the pattern cannot support a plan
-    (counted in ``mna.sparse_pattern_fallbacks``).
+    condenses.  Returns ``None`` to defer to the dense path when the
+    pattern cannot support a plan (counted in
+    ``mna.sparse_pattern_fallbacks``).
     """
-    n_batch, n_freq, n_nodes, _ = y_batch.shape
+    n_batch = y_batch.shape[0]
     n_ports = port_rows.size
     base = y_batch[0]
     mutable = np.any(y_batch != y_batch[:1], axis=(0, 1))
     rows, cols = np.nonzero(mutable)
     out_rows = [int(r) for r in port_rows] + [int(r) for r in probe_rows]
-    # The reduced system spans the stamp hull only; untouched
-    # port/probe rows are condensed out by the plan (see build_plan).
-    touched = set(rows.tolist())
-    touched.update(cols.tolist())
-    if not touched:
-        touched = set(out_rows) - {-1}
-    if not require:
-        costs = structural_costs(n_nodes, len(touched), rhs.shape[1],
-                                 len(out_rows))
-        if costs["sparse"] >= costs["dense"]:
-            return None
     groups, coeffs = [], {}
     for r, c in zip(rows.tolist(), cols.tolist()):
         name = f"e{r}.{c}"
@@ -239,11 +222,10 @@ def solve_tensor_batch(
     ``ValueError`` on singular topology, like the scalar solver.
 
     ``solver`` selects the factorization tier: ``"dense"`` (the
-    reference), ``"sparse"`` (Schur-condense the candidate-independent
-    structure, see :mod:`repro.analysis.sparsemna`), or ``"auto"``
-    (deterministic structural cost model).  The sparse tier agrees
-    with dense to well under 1e-9 relative and falls back to dense
-    when the batch has no exploitable structure.  ``_solve`` is the
+    reference) or ``"sparse"`` (Schur-condense the candidate-independent
+    structure, see :mod:`repro.analysis.sparsemna`).  The sparse tier
+    agrees with dense to well under 1e-9 relative and falls back to
+    dense when the structure cannot be condensed.  ``_solve`` is the
     linear-solver hook the conditioning escalation swaps for
     :func:`repro.analysis.conditioning.equilibrated_solve`; a
     non-default hook forces the dense tier (escalation is a dense-path
@@ -253,9 +235,9 @@ def solve_tensor_batch(
         raise ValueError(
             f"expected (B, F, n, n) admittance tensor, got {y_batch.shape}"
         )
-    if solver not in ("dense", "sparse", "auto"):
+    if solver not in ("dense", "sparse"):
         raise ValueError(
-            f"solver must be 'dense', 'sparse', or 'auto', got {solver!r}"
+            f"solver must be 'dense' or 'sparse', got {solver!r}"
         )
     n_batch, n_freq, n_nodes, _ = y_batch.shape
     port_rows = np.asarray(port_rows, dtype=int)
@@ -273,7 +255,6 @@ def solve_tensor_batch(
     if solver != "dense" and _solve is np.linalg.solve:
         result = _solve_tensor_sparse(
             y_batch, port_rows, z0, rhs, noise_sources, probe_rows,
-            require=solver == "sparse",
         )
         if result is not None:
             return result

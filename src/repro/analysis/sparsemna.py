@@ -61,7 +61,6 @@ __all__ = [
     "MutableGroup",
     "SparsePlan",
     "build_plan",
-    "structural_costs",
     "WOODBURY_RESIDUAL_TOL",
 ]
 
@@ -110,28 +109,6 @@ class _LocalGroup:
     # or None when the group's stamp matrix has rank > 1.
     u_t: Optional[np.ndarray]
     v_t: Optional[np.ndarray]
-
-
-def structural_costs(n_nodes: int, n_reduced: int, n_rhs: int,
-                     n_out: int) -> Dict[str, float]:
-    """Deterministic per-(candidate x frequency) flop estimates.
-
-    ``dense`` is an LU of the full ``(n, n)`` system plus its K-column
-    back-substitution; ``sparse`` is the reduced assembly, the
-    ``(m, m)`` LU with ``n_out`` adjoint columns, and the transfer
-    contraction.  Plan compilation (the per-topology splu sweep) is
-    excluded — it amortizes over the whole run.  The estimates are pure
-    integer arithmetic on structure, so every process compiling the
-    same topology makes the identical ``solver="auto"`` choice.
-    """
-    n, m = float(n_nodes), float(n_reduced)
-    dense = (2.0 / 3.0) * n ** 3 + n ** 2 * n_rhs
-    sparse = (
-        (2.0 / 3.0) * m ** 3
-        + m ** 2 * (n_out + 1)
-        + m * n_out * n_rhs
-    )
-    return {"dense": dense, "sparse": sparse}
 
 
 def _shared_pattern_lu(a_stack: np.ndarray):

@@ -17,13 +17,16 @@ netlist **once** into a *stamp plan*:
 * the matching noise-source plan (constant sources pre-evaluated,
   variable PSDs computed per candidate).
 
-Per-candidate assembly is then pure vectorized NumPy — broadcast the
-base tensor to ``(B, F, n, n)``, add ``signs * value`` at the
-precomputed indices — and one call to
-:func:`repro.analysis.compiled.solve_tensor_batch` solves the design
-grid *and* the stability guard grid for all candidates at once (the two
-grids are fused along the frequency axis; rows are independent in MNA,
-so the fused solve is exact).
+Per-candidate assembly is then pure vectorized NumPy.  The default
+tier condenses the stamp plan once more: every node no design-dependent
+stamp touches is Schur-eliminated at compile time
+(:mod:`repro.analysis.sparsemna`), so a candidate batch only factorizes
+the small reduced system over the fused design *and* stability guard
+grid (rows are independent in MNA, so fusing the two frequency axes is
+exact).  The ``solver="dense"`` reference instead broadcasts the base
+tensor to ``(B, F, n, n)``, adds ``signs * value`` at the precomputed
+indices, and calls :func:`repro.analysis.compiled.solve_tensor_batch`;
+the two tiers agree to well under 1e-9 relative.
 
 Element values are computed by the *same* component models as the
 scalar path (:mod:`repro.passives.rlc` factories, the device's DC and
@@ -53,12 +56,7 @@ from repro.analysis.compiled import (
     solve_tensor_batch_isolated,
 )
 from repro.analysis.conditioning import observe_condition
-from repro.analysis.sparsemna import (
-    MutableGroup,
-    PatternError,
-    build_plan,
-    structural_costs,
-)
+from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.analysis.netlist import (
     Capacitor,
     NoiseCurrent,
@@ -204,30 +202,30 @@ class CompiledTemplate:
         design points (recommended; a few scalar solves at compile
         time).
     solver:
-        Factorization tier for the batched MNA solves.  ``"dense"``
-        (default, the reference path) stamps full ``(B, F, n, n)``
-        tensors; ``"sparse"`` compiles a Schur-condensed plan
-        (:mod:`repro.analysis.sparsemna`) — the candidate-independent
+        Factorization tier for the batched MNA solves.  ``"sparse"``
+        (default) compiles a Schur-condensed plan
+        (:mod:`repro.analysis.sparsemna`): the candidate-independent
         block is LU-factorized once per topology per frequency with a
         shared CSC pattern, and per candidate only the small reduced
         system is refactorized (or Sherman-Morrison-updated when few
-        stamp groups vary).  ``"auto"`` picks by a deterministic
-        structural cost model, so every process compiling the same
-        template resolves identically; the decision is journaled as a
-        ``solver_decision`` event.  The sparse tier agrees with dense
-        to well under 1e-9 relative and is verified against the scalar
-        path by the same compile-time probes.
+        stamp groups vary).  A template whose constant block cannot be
+        condensed falls back to dense (counted in
+        ``mna.sparse_pattern_fallbacks``); ``_solver_resolved`` names
+        the tier in use.  ``"dense"`` stamps full ``(B, F, n, n)``
+        tensors; it is the reference the sparse tier is tested
+        against, and the failed-row rescue of the fault-isolated
+        sparse path.  Both tiers are verified against the scalar path
+        by the same compile-time probes.
     """
 
     def __init__(self, template: AmplifierTemplate,
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
                  verify: bool = True,
-                 solver: str = "dense"):
-        if solver not in ("dense", "sparse", "auto"):
+                 solver: str = "sparse"):
+        if solver not in ("sparse", "dense"):
             raise ValueError(
-                f"solver must be 'dense', 'sparse', or 'auto', "
-                f"got {solver!r}"
+                f"solver must be 'sparse' or 'dense', got {solver!r}"
             )
         self.template = template
         self.solver = solver
@@ -253,7 +251,9 @@ class CompiledTemplate:
     # worker wants: the compile runs once per worker, locally, instead
     # of megabytes of tensors crossing the pipe.  Verification is
     # skipped on unpickle: the sender's compile already verified this
-    # same template, and the stamp plan is deterministic.
+    # same template, and the stamp plan is deterministic.  A state
+    # without a solver entry takes the constructor default, so a fleet
+    # worker always compiles the tier its parent runs.
     def __getstate__(self):
         return {
             "template": self.template,
@@ -263,9 +263,9 @@ class CompiledTemplate:
         }
 
     def __setstate__(self, state):
+        tier = {"solver": state["solver"]} if "solver" in state else {}
         self.__init__(state["template"], state["band_grid"],
-                      state["guard_grid"], verify=False,
-                      solver=state.get("solver", "dense"))
+                      state["guard_grid"], verify=False, **tier)
 
     # -- compilation --------------------------------------------------------
     def _compile(self):
@@ -383,45 +383,17 @@ class CompiledTemplate:
         )
 
     def _resolve_solver(self) -> str:
-        """Pick and prepare the factorization tier.
+        """Prepare the factorization tier; the tier actually in use.
 
-        ``"auto"`` resolves through :func:`structural_costs` — a pure
-        function of the stamp structure, never of timing — so a fleet
-        worker recompiling this template makes the identical choice,
-        and its rows stay bit-identical to the parent's.  The decision
-        is journaled like the population-backend ``backend_decision``.
+        The fallback from sparse to dense depends only on the stamp
+        structure, so a fleet worker recompiling this template resolves
+        identically and its rows stay bit-identical to the parent's.
         """
         if self.solver == "dense":
             return "dense"
-        touched = set()
-        for slot in self._slots.values():
-            touched.update(slot.rows.tolist())
-            touched.update(slot.cols.tolist())
-        if not touched:
-            touched = set(int(r) for r in self._port_rows)
-        n_rhs = self._port_rows.size + self._noise_column_count()
-        costs = structural_costs(self._n_nodes, len(touched), n_rhs,
-                                 self._port_rows.size)
-        if self.solver == "auto":
-            chosen = "sparse" if costs["sparse"] < costs["dense"] else "dense"
-            _obs_journal.emit(
-                "solver_decision",
-                chosen=chosen,
-                candidates={k: float(v) for k, v in costs.items()},
-                n_nodes=int(self._n_nodes),
-                n_reduced=len(touched),
-                rhs_columns=int(n_rhs),
-            )
-            if chosen == "dense":
-                return "dense"
         try:
             self._plan = self._build_sparse_plan()
-        except PatternError as exc:
-            if self.solver == "sparse":
-                raise CompileError(
-                    f"solver='sparse' requested but the template's "
-                    f"structure cannot be condensed: {exc}"
-                ) from None
+        except PatternError:
             _obs_metrics.inc("mna.sparse_pattern_fallbacks")
             return "dense"
         return "sparse"
@@ -1158,8 +1130,7 @@ class CompiledMetricObjective:
                  metric: str = "nf_max_db",
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
-                 sign: float = 1.0,
-                 solver: str = "dense"):
+                 sign: float = 1.0):
         if metric not in self.METRICS:
             raise ValueError(
                 f"metric must be one of {self.METRICS}, got {metric!r}"
@@ -1169,12 +1140,10 @@ class CompiledMetricObjective:
         self.band_grid = band_grid
         self.guard_grid = guard_grid
         self.sign = float(sign)
-        self.solver = solver
 
     def __call__(self):
         engine = CompiledTemplate(self.template, self.band_grid,
-                                  self.guard_grid, verify=False,
-                                  solver=self.solver)
+                                  self.guard_grid, verify=False)
         metric, sign = self.metric, self.sign
 
         def scalar(unit_x: np.ndarray) -> float:

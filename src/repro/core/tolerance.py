@@ -202,7 +202,7 @@ def _batched_trials(template, nominal, tolerances, n_trials, rng,
     x_trials = corners.apply(nominal.to_vector())
     if compiled is None:
         compiled = CompiledTemplate(template, band_grid, guard_grid,
-                                    verify=False, solver="auto")
+                                    verify=False)
     batch, trial_failures, _ = (
         compiled.performance_batch_physical_isolated(x_trials))
     quarantined = np.array([f is not None for f in trial_failures])

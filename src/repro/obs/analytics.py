@@ -73,7 +73,8 @@ INDEX_NAME = "_index.jsonl"
 
 #: Decision events tallied into each entry (all carry a categorical
 #: outcome field — ``chosen`` for backend/solver, ``mode`` for the
-#: surrogate screen, ``accepted`` for warm starts).
+#: surrogate screen, ``accepted`` for warm starts).  No run emits
+#: ``solver_decision`` any more; it stays so archived journals index.
 _DECISION_EVENTS = ("backend_decision", "solver_decision",
                     "screen_decision", "warmstart_decision")
 

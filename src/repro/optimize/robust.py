@@ -27,8 +27,7 @@ first-class optimization objectives:
   generation: only the most promising ``screen_fraction`` of
   candidates pays for a full corner sweep, the rest carry clipped
   surrogate predictions.  Every screen decision is journaled as a
-  ``screen_decision`` event (the sibling of ``backend_decision`` /
-  ``solver_decision``).
+  ``screen_decision`` event (the sibling of ``backend_decision``).
 * :func:`build_robust_problem` — the three-objective
   ``(NFworst, -GTworst, -yield)`` problem for NSGA-II / goal
   attainment, with the nominal design constraints intact; and
@@ -468,7 +467,6 @@ class RobustEvaluator:
                  seed: Optional[int] = 0,
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
-                 solver: str = "auto",
                  nf_ship_limit_db: float = 0.8,
                  gt_ship_limit_db: float = 13.0,
                  mu_ship: float = 1.0,
@@ -482,8 +480,7 @@ class RobustEvaluator:
         self.band_grid = band_grid or design_grid(13)
         self.guard_grid = guard_grid or stability_grid(16)
         self._compiled = compiled or CompiledTemplate(
-            template, self.band_grid, self.guard_grid,
-            verify=False, solver=solver,
+            template, self.band_grid, self.guard_grid, verify=False,
         )
         self.nf_ship_limit_db = float(nf_ship_limit_db)
         self.gt_ship_limit_db = float(gt_ship_limit_db)
@@ -772,7 +769,6 @@ class RobustScalarObjective:
                  seed: Optional[int] = 0,
                  yield_weight: float = 5.0,
                  n_band: int = 9, n_guard: int = 12,
-                 solver: str = "auto",
                  nf_ship_limit_db: float = 0.8,
                  gt_ship_limit_db: float = 13.0):
         self.template = template
@@ -782,7 +778,6 @@ class RobustScalarObjective:
         self.yield_weight = float(yield_weight)
         self.n_band = int(n_band)
         self.n_guard = int(n_guard)
-        self.solver = str(solver)
         self.nf_ship_limit_db = float(nf_ship_limit_db)
         self.gt_ship_limit_db = float(gt_ship_limit_db)
         self._evaluator: Optional[RobustEvaluator] = None
@@ -801,7 +796,6 @@ class RobustScalarObjective:
                 seed=self.seed,
                 band_grid=design_grid(self.n_band),
                 guard_grid=stability_grid(self.n_guard),
-                solver=self.solver,
                 nf_ship_limit_db=self.nf_ship_limit_db,
                 gt_ship_limit_db=self.gt_ship_limit_db,
             )

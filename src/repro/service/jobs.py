@@ -332,7 +332,6 @@ def _build_robust_optimize(params: dict) -> dict:
         yield_weight=float(params.get("yield_weight", 5.0)),
         n_band=int(params.get("n_band", 9)),
         n_guard=int(params.get("n_guard", 12)),
-        solver=str(params.get("solver", "auto")),
         nf_ship_limit_db=float(params.get("nf_ship_limit_db", 0.8)),
         gt_ship_limit_db=float(params.get("gt_ship_limit_db", 13.0)),
     )

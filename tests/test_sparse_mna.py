@@ -1,13 +1,14 @@
-"""Solver-tier contracts: sparse plan, selection, isolation, copies.
+"""Solver-tier contracts: sparse plan, default tier, isolation, copies.
 
 Companion to the random-circuit equivalence sweep — this file pins the
 *contract* surface of the sparse tier: kernels never mutate their
-inputs, ``BatchACResult.candidate`` detaches, ``solver="auto"`` is
-journaled, guards sample the reduced matrix, and the Woodbury residual
-check falls ill-conditioned candidates back to full refactorization.
+inputs, ``BatchACResult.candidate`` detaches, the condensed tier is the
+engine default and survives pickling, the paper's design pipeline gives
+the same answers on either tier, guards sample the reduced matrix, and
+the Woodbury residual check falls ill-conditioned candidates back to
+full refactorization.
 """
 
-import json
 import pickle
 
 import numpy as np
@@ -19,16 +20,13 @@ from repro.analysis.compiled import (
     solve_tensor_batch,
 )
 from repro.analysis.netlist import Circuit
-from repro.analysis.sparsemna import (
-    MutableGroup,
-    build_plan,
-    structural_costs,
-)
+from repro.analysis.sparsemna import MutableGroup, build_plan
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
+from repro.core.design import DesignFlow
 from repro.core.engine import CompiledTemplate
+from repro.core.objectives import LnaEvaluator, build_lna_problem
 from repro.experiments.common import reference_device
 from repro.guards.modes import guard_mode
-from repro.obs.journal import RunJournal, set_journal
 from repro.obs.metrics import Metrics, get_metrics, set_metrics
 from repro.rf.frequency import FrequencyGrid
 
@@ -42,24 +40,6 @@ def fresh_metrics():
     set_metrics(metrics)
     yield metrics
     set_metrics(previous)
-
-
-@pytest.fixture()
-def journal(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    recorder = RunJournal(path, run_id="test")
-    previous = set_journal(recorder)
-
-    def events():
-        recorder.flush()
-        with open(path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
-    try:
-        yield events
-    finally:
-        set_journal(previous)
-        recorder.close()
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +76,7 @@ PORTS = np.array([0, 1])
 # ----------------------------------------------------------------------
 
 class TestNonMutatingKernel:
-    @pytest.mark.parametrize("solver", ["dense", "sparse", "auto"])
+    @pytest.mark.parametrize("solver", ["dense", "sparse"])
     def test_solve_tensor_batch_leaves_input_bit_identical(self, solver):
         y = _varying_tensor()
         psd = np.full((4, GRID.f_hz.size), 1e-20)
@@ -107,12 +87,13 @@ class TestNonMutatingKernel:
         solve_tensor_batch(y, PORTS, 50.0, sources, solver=solver)
         assert y.tobytes() == before
 
-    def test_solver_argument_validated(self):
+    @pytest.mark.parametrize("solver", ["bogus", "auto"])
+    def test_solver_argument_validated(self, solver):
         y = _varying_tensor()
         with pytest.raises(ValueError, match="solver"):
-            solve_tensor_batch(y, PORTS, 50.0, solver="bogus")
+            solve_tensor_batch(y, PORTS, 50.0, solver=solver)
         with pytest.raises(ValueError, match="solver"):
-            CompiledTemplate(None, solver="bogus")
+            CompiledTemplate(None, solver=solver)
 
 
 # ----------------------------------------------------------------------
@@ -144,38 +125,83 @@ def test_candidate_returns_detached_copy():
 
 
 # ----------------------------------------------------------------------
-# solver selection
+# default tier
 # ----------------------------------------------------------------------
 
-def test_auto_solver_journals_decision(journal, lna_template):
-    engine = CompiledTemplate(lna_template, solver="auto", verify=False)
-    assert engine._solver_resolved == "sparse"
-    decisions = [r for r in journal() if r["event"] == "solver_decision"]
-    assert len(decisions) == 1
-    record = decisions[0]
-    assert record["chosen"] == "sparse"
-    assert set(record["candidates"]) == {"dense", "sparse"}
-    assert record["candidates"]["sparse"] < record["candidates"]["dense"]
-    assert 0 < record["n_reduced"] < record["n_nodes"]
-    assert record["rhs_columns"] > 2
+def test_condensed_tier_is_the_engine_default(lna_template):
+    assert CompiledTemplate(lna_template, verify=False)._solver_resolved \
+        == "sparse"
+    assert LnaEvaluator(lna_template)._compiled._solver_resolved == "sparse"
+    flow = DesignFlow(reference_device().small_signal)
+    assert flow.evaluator._compiled._solver_resolved == "sparse"
 
 
-def test_structural_costs_scale_with_reduction():
-    wide = structural_costs(40, 5, 30, 2)
-    assert wide["sparse"] < wide["dense"]
-    flat = structural_costs(6, 6, 30, 2)
-    assert flat["sparse"] >= flat["dense"] * 0.1  # no free lunch
-
-
-def test_engine_pickle_round_trips_solver(sparse_engine):
-    clone = pickle.loads(pickle.dumps(sparse_engine))
-    assert clone.solver == "sparse"
-    assert clone._solver_resolved == "sparse"
+@pytest.mark.parametrize("solver", [None, "sparse", "dense"])
+def test_engine_pickle_round_trips_solver(lna_template, solver):
+    kwargs = {} if solver is None else {"solver": solver}
+    engine = CompiledTemplate(lna_template, verify=False, **kwargs)
+    state = engine.__getstate__()
+    clone = pickle.loads(pickle.dumps(engine))
+    # A state written without the tier key takes the current default.
+    legacy = CompiledTemplate.__new__(CompiledTemplate)
+    legacy.__setstate__({k: v for k, v in state.items() if k != "solver"})
+    expected = solver or "sparse"
+    assert clone.solver == expected
+    assert clone._solver_resolved == expected
+    assert legacy._solver_resolved == "sparse"
     pop = np.random.default_rng(3).random((4, len(DesignVariables.NAMES)))
-    a = sparse_engine.performance_batch(pop)
+    a = engine.performance_batch(pop)
     b = clone.performance_batch(pop)
     for name in ("nf_db", "gt_db", "s11_db", "s22_db", "mu_min", "ids"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# ----------------------------------------------------------------------
+# the design pipeline on either tier
+# ----------------------------------------------------------------------
+
+def _dense_evaluator(evaluator: LnaEvaluator) -> LnaEvaluator:
+    """*evaluator* switched to the dense reference tier in place."""
+    evaluator._compiled = CompiledTemplate(
+        evaluator.template, evaluator.band_grid, evaluator.guard_grid,
+        solver="dense")
+    return evaluator
+
+
+def test_design_problem_agrees_across_tiers(lna_template):
+    sparse = build_lna_problem(lna_template, evaluator=LnaEvaluator(
+        lna_template))
+    dense = build_lna_problem(lna_template, evaluator=_dense_evaluator(
+        LnaEvaluator(lna_template)))
+    pop = np.random.default_rng(17).random((64, len(DesignVariables.NAMES)))
+    for name in ("objectives_batch", "constraints_batch"):
+        np.testing.assert_allclose(getattr(sparse, name)(pop),
+                                   getattr(dense, name)(pop),
+                                   rtol=1e-9, atol=1e-9)
+
+
+def test_improved_goal_attainment_agrees_across_tiers():
+    """E5's method ends at the same design on either tier.
+
+    The SLSQP path follows roundoff, so evaluation counts are not
+    compared.  At this small budget the end point can too: for some
+    seeds the two tiers settle in different local optima (seed 3 with
+    ``n_probe=8`` ends near GT 15.6 dB on one tier and 14.8 dB on the
+    other).  This seed reaches the same optimum on both.
+    """
+    device = reference_device().small_signal
+    results = []
+    for dense in (False, True):
+        flow = DesignFlow(device)
+        if dense:
+            _dense_evaluator(flow.evaluator)
+        results.append(flow.run_improved(seed=3, n_probe=12, n_starts=1,
+                                         tighten_rounds=0))
+    sparse_result, dense_result = results
+    for result in results:
+        assert result.constraint_violation <= 1e-6
+    np.testing.assert_allclose(sparse_result.objectives,
+                               dense_result.objectives, atol=0.01)
 
 
 # ----------------------------------------------------------------------

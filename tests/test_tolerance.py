@@ -22,7 +22,7 @@ def template():
 def fast_compiled(template):
     """One compiled engine shared across the batched-engine tests."""
     return CompiledTemplate(template, design_grid(5), stability_grid(6),
-                            verify=False, solver="auto")
+                            verify=False)
 
 
 class TestToleranceSpec:
