@@ -15,23 +15,16 @@ Two entry points:
 * :func:`solve_ac_batch` — takes a sequence of fully built
   :class:`~repro.analysis.netlist.Circuit` objects with identical
   topology and returns a :class:`BatchACResult`.  Generic, but still
-  pays per-candidate assembly cost; it is the fallback for arbitrary
-  same-topology batches.
-* :func:`solve_tensor_batch` — the low-level core of the compiled LNA
-  engine's dense reference tier and failed-row rescue
-  (:mod:`repro.core.engine`), which assembles the batch tensor directly
-  from a stamp plan and skips circuit construction entirely.
+  pays per-candidate assembly cost.
+* :func:`solve_tensor_batch` — the low-level core, which solves a
+  ``(B, F, n, n)`` tensor assembled by the caller; its fault-isolated
+  twin :func:`solve_tensor_batch_isolated` re-solves failing rows one
+  at a time with the equilibrated escalation.
 
-Both entry points accept ``solver="dense"|"sparse"``.  Dense, the
-default here, is the reference kernel.  The sparse tier discovers the
-candidate-*in*dependent structure of the batch (entries identical
-across all B tensors), condenses it through
-:mod:`repro.analysis.sparsemna`'s Schur-complement plan, and solves
-only the small mutable system per candidate — numerically equivalent
-to the dense path to well under 1e-9 relative (enforced by
-``tests/test_random_circuits.py``).  The compiled LNA engine builds
-its condensed plan once per topology instead and runs it by default;
-these generic kernels rediscover the structure on every call.
+These are the dense reference kernels.  The compiled LNA engine
+(:mod:`repro.core.engine`) does not call them: it compiles a condensed
+plan once per topology (:mod:`repro.analysis.sparsemna`) and solves
+only the small reduced system per candidate.
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from repro.analysis.acsolver import (
 )
 from repro.analysis.conditioning import equilibrated_solve, observe_condition
 from repro.analysis.netlist import Circuit
-from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.guards import modes as _guard_modes
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracer as _obs_tracer
@@ -127,7 +119,7 @@ def _port_results(
     noise_sources: Sequence[BatchNoiseSource],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """S-parameters and port noise correlation from the port rows of
-    the MNA solution (shared by the dense and sparse solver tiers)."""
+    the MNA solution."""
     z_loaded = v_ports[..., :n_ports]
     z_loaded_inv = np.linalg.inv(z_loaded)
     g0 = np.eye(n_ports) / z0
@@ -151,58 +143,6 @@ def _port_results(
     return s_out, cy_out
 
 
-def _solve_tensor_sparse(
-    y_batch: np.ndarray,
-    port_rows: np.ndarray,
-    z0: float,
-    rhs: np.ndarray,
-    noise_sources: Sequence[BatchNoiseSource],
-    probe_rows: Sequence[int],
-):
-    """The generic sparse/Schur branch of :func:`solve_tensor_batch`.
-
-    The mutable structure is discovered from the batch itself: entries
-    that differ from candidate 0 anywhere become single-entry update
-    groups, everything else is the constant base that the plan
-    condenses.  Returns ``None`` to defer to the dense path when the
-    pattern cannot support a plan (counted in
-    ``mna.sparse_pattern_fallbacks``).
-    """
-    n_batch = y_batch.shape[0]
-    n_ports = port_rows.size
-    base = y_batch[0]
-    mutable = np.any(y_batch != y_batch[:1], axis=(0, 1))
-    rows, cols = np.nonzero(mutable)
-    out_rows = [int(r) for r in port_rows] + [int(r) for r in probe_rows]
-    groups, coeffs = [], {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        name = f"e{r}.{c}"
-        groups.append(MutableGroup(
-            name, np.array([r]), np.array([c]), np.array([1.0])
-        ))
-        coeffs[name] = y_batch[:, :, r, c] - base[:, r, c]
-    try:
-        plan = build_plan(base, groups, port_rows, z0, rhs, out_rows)
-    except PatternError:
-        _obs_metrics.inc("mna.sparse_pattern_fallbacks")
-        return None
-    try:
-        sol_rows = plan.solve_rows(coeffs, n_batch, update="full")
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular circuit (floating node or degenerate element): "
-            f"{exc}"
-        ) from None
-    s_out, cy_out = _port_results(sol_rows[..., :n_ports, :], n_ports,
-                                  z0, noise_sources)
-    transfers = None
-    if len(probe_rows):
-        transfers = np.ascontiguousarray(
-            sol_rows[..., n_ports:, :n_ports]
-        )
-    return s_out, cy_out, transfers
-
-
 def solve_tensor_batch(
     y_batch: np.ndarray,
     port_rows: np.ndarray,
@@ -210,7 +150,6 @@ def solve_tensor_batch(
     noise_sources: Sequence[BatchNoiseSource] = (),
     probe_rows: Sequence[int] = (),
     _solve=np.linalg.solve,
-    solver: str = "dense",
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """One batched MNA solve of ``(B, F, n, n)`` admittance tensors.
 
@@ -221,23 +160,12 @@ def solve_tensor_batch(
     (transfers are ``None`` when no probe rows are requested).  Raises
     ``ValueError`` on singular topology, like the scalar solver.
 
-    ``solver`` selects the factorization tier: ``"dense"`` (the
-    reference) or ``"sparse"`` (Schur-condense the candidate-independent
-    structure, see :mod:`repro.analysis.sparsemna`).  The sparse tier
-    agrees with dense to well under 1e-9 relative and falls back to
-    dense when the structure cannot be condensed.  ``_solve`` is the
-    linear-solver hook the conditioning escalation swaps for
-    :func:`repro.analysis.conditioning.equilibrated_solve`; a
-    non-default hook forces the dense tier (escalation is a dense-path
-    contract).
+    ``_solve`` is the linear-solver hook the conditioning escalation
+    swaps for :func:`repro.analysis.conditioning.equilibrated_solve`.
     """
     if y_batch.ndim != 4 or y_batch.shape[-1] != y_batch.shape[-2]:
         raise ValueError(
             f"expected (B, F, n, n) admittance tensor, got {y_batch.shape}"
-        )
-    if solver not in ("dense", "sparse"):
-        raise ValueError(
-            f"solver must be 'dense' or 'sparse', got {solver!r}"
         )
     n_batch, n_freq, n_nodes, _ = y_batch.shape
     port_rows = np.asarray(port_rows, dtype=int)
@@ -251,13 +179,6 @@ def solve_tensor_batch(
     for src in noise_sources:
         rhs[:, col:col + src.width] = src.columns
         col += src.width
-
-    if solver != "dense" and _solve is np.linalg.solve:
-        result = _solve_tensor_sparse(
-            y_batch, port_rows, z0, rhs, noise_sources, probe_rows,
-        )
-        if result is not None:
-            return result
 
     # Reference loads go onto a copy: the caller's tensor stays
     # bit-identical (callers used to scatter defensive .copy() calls
@@ -352,17 +273,14 @@ def solve_tensor_batch_isolated(
     z0: float,
     noise_sources: Sequence[BatchNoiseSource] = (),
     probe_rows: Sequence[int] = (),
-    solver: str = "dense",
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """:func:`solve_tensor_batch` with per-candidate failure isolation.
 
-    The fast path is the ordinary full-batch factorization through the
-    selected *solver* tier.  When it raises on a singular candidate,
-    each row is re-solved on its own (always through the dense tier —
-    single-row rescue has no structure to exploit), so one degenerate
-    design can no longer fail the whole population; rows that are
-    singular (or produce non-finite results) come back zero-filled
-    with their ``failed`` flag set.  *y_batch* is never mutated — the
+    The fast path is the ordinary full-batch factorization.  When it
+    raises on a singular candidate, each row is re-solved on its own,
+    so one degenerate design can no longer fail the whole population;
+    rows that are singular (or produce non-finite results) come back
+    zero-filled with their ``failed`` flag set.  *y_batch* is never mutated — the
     kernel adds reference loads to internal copies.
 
     Returns ``(s, cy, node_transfers, failed)`` where ``failed`` is a
@@ -388,7 +306,6 @@ def solve_tensor_batch_isolated(
         try:
             s, cy, transfers = solve_tensor_batch(
                 y_batch, port_rows, z0, noise_sources, probe_rows,
-                solver=solver,
             )
         except (ValueError, np.linalg.LinAlgError):
             pass  # fall through to the per-row path below
@@ -465,16 +382,13 @@ def solve_tensor_batch_isolated(
 
 def solve_ac_batch(circuits: Sequence[Circuit], frequency: FrequencyGrid,
                    compute_noise: bool = True,
-                   probe_nodes: tuple = (),
-                   solver: str = "dense") -> BatchACResult:
+                   probe_nodes: tuple = ()) -> BatchACResult:
     """Run AC + noise analysis of a batch of same-topology circuits.
 
     Every circuit must share node names, element structure, and port
     declarations with the first one — only element *values* may differ.
     The result matches ``[solve_ac(c, frequency) for c in circuits]``
     to floating-point roundoff at a fraction of the Python overhead.
-    ``solver`` selects the factorization tier of
-    :func:`solve_tensor_batch`.
     """
     if not len(circuits):
         raise ValueError("need at least one circuit to solve")
@@ -538,7 +452,7 @@ def solve_ac_batch(circuits: Sequence[Circuit], frequency: FrequencyGrid,
             noise_sources.append(BatchNoiseSource(columns, psd))
 
     s_out, cy_out, transfers = solve_tensor_batch(
-        y_batch, port_rows, z0, noise_sources, probe_rows, solver=solver
+        y_batch, port_rows, z0, noise_sources, probe_rows
     )
     return BatchACResult(
         frequency=frequency, s=s_out, cy=cy_out, z0=z0,

@@ -34,9 +34,8 @@ swapped coordinates), so no ``(B, F, m, m)`` transpose copy is ever
 made, and the final contraction is a plain broadcast ``matmul`` —
 einsum-shaped, GPU-portable, no Python per-candidate loops.
 
-Everything here is topology-level machinery; solver selection, noise
-post-processing, and failure isolation live with the callers
-(:mod:`repro.analysis.compiled`, :mod:`repro.core.engine`).
+Everything here is topology-level machinery; noise post-processing
+and failure isolation live with the caller (:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -77,8 +76,9 @@ class PatternError(RuntimeError):
 
     Raised at plan-build time — e.g. the constant internal block is
     singular (its Schur complement does not exist even though the full
-    matrix may be fine), or sparse LU support is unavailable.  Callers
-    fall back to the dense path.
+    matrix may be fine), or sparse LU support is unavailable.  The
+    compiled engine turns it into a ``CompileError``, and its callers
+    fall back to the scalar path.
     """
 
 

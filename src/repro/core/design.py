@@ -82,12 +82,11 @@ class DesignFlow:
     def __init__(self, device: PHEMTSmallSignal,
                  spec: Optional[DesignSpec] = None,
                  template: Optional[AmplifierTemplate] = None,
-                 engine: str = "compiled",
                  workers: Optional[int] = None):
         self.device = device
         self.spec = spec or DesignSpec()
         self.template = template or AmplifierTemplate(device)
-        self.evaluator = LnaEvaluator(self.template, engine=engine)
+        self.evaluator = LnaEvaluator(self.template)
         self.problem = build_lna_problem(self.template, self.spec,
                                          self.evaluator)
         self.workers = validate_workers(workers)

@@ -17,16 +17,15 @@ netlist **once** into a *stamp plan*:
 * the matching noise-source plan (constant sources pre-evaluated,
   variable PSDs computed per candidate).
 
-Per-candidate assembly is then pure vectorized NumPy.  The default
-tier condenses the stamp plan once more: every node no design-dependent
-stamp touches is Schur-eliminated at compile time
-(:mod:`repro.analysis.sparsemna`), so a candidate batch only factorizes
-the small reduced system over the fused design *and* stability guard
-grid (rows are independent in MNA, so fusing the two frequency axes is
-exact).  The ``solver="dense"`` reference instead broadcasts the base
-tensor to ``(B, F, n, n)``, adds ``signs * value`` at the precomputed
-indices, and calls :func:`repro.analysis.compiled.solve_tensor_batch`;
-the two tiers agree to well under 1e-9 relative.
+Per-candidate assembly is then pure vectorized NumPy.  The stamp plan
+is condensed once more: every node no design-dependent stamp touches is
+Schur-eliminated at compile time (:mod:`repro.analysis.sparsemna`), so
+a candidate batch only factorizes the small reduced system over the
+fused design *and* stability guard grid (rows are independent in MNA,
+so fusing the two frequency axes is exact).  A template whose constant
+block cannot be condensed raises :class:`CompileError`; callers such as
+:class:`repro.core.objectives.LnaEvaluator` then evaluate on the scalar
+path.
 
 Element values are computed by the *same* component models as the
 scalar path (:mod:`repro.passives.rlc` factories, the device's DC and
@@ -50,15 +49,15 @@ from repro.analysis.acsolver import (
     _collect_noise_sources,
     _injection,
 )
-from repro.analysis.compiled import (
-    BatchNoiseSource,
+from repro.analysis.compiled import BatchNoiseSource
+# Unused here; the e2e layer tracer (benchmarks/e2e/layers.py) patches them.
+from repro.analysis.compiled import (  # noqa: F401
     solve_tensor_batch,
     solve_tensor_batch_isolated,
 )
 from repro.analysis.conditioning import observe_condition
 from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.analysis.netlist import (
-    Capacitor,
     NoiseCurrent,
     Resistor,
     Vccs,
@@ -190,6 +189,14 @@ class BatchPerformance:
 class CompiledTemplate:
     """An :class:`AmplifierTemplate` lowered to a batched stamp plan.
 
+    The batched MNA solves run on a Schur-condensed plan
+    (:mod:`repro.analysis.sparsemna`): the candidate-independent block
+    is LU-factorized once per topology per frequency with a shared CSC
+    pattern, and per candidate only the small reduced system is
+    refactorized (or Sherman-Morrison-updated when few stamp groups
+    vary).  A template whose constant block cannot be condensed raises
+    :class:`CompileError`.
+
     Parameters
     ----------
     template:
@@ -201,34 +208,13 @@ class CompiledTemplate:
         Check the compiled engine against the scalar path at two probe
         design points (recommended; a few scalar solves at compile
         time).
-    solver:
-        Factorization tier for the batched MNA solves.  ``"sparse"``
-        (default) compiles a Schur-condensed plan
-        (:mod:`repro.analysis.sparsemna`): the candidate-independent
-        block is LU-factorized once per topology per frequency with a
-        shared CSC pattern, and per candidate only the small reduced
-        system is refactorized (or Sherman-Morrison-updated when few
-        stamp groups vary).  A template whose constant block cannot be
-        condensed falls back to dense (counted in
-        ``mna.sparse_pattern_fallbacks``); ``_solver_resolved`` names
-        the tier in use.  ``"dense"`` stamps full ``(B, F, n, n)``
-        tensors; it is the reference the sparse tier is tested
-        against, and the failed-row rescue of the fault-isolated
-        sparse path.  Both tiers are verified against the scalar path
-        by the same compile-time probes.
     """
 
     def __init__(self, template: AmplifierTemplate,
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
-                 verify: bool = True,
-                 solver: str = "sparse"):
-        if solver not in ("sparse", "dense"):
-            raise ValueError(
-                f"solver must be 'sparse' or 'dense', got {solver!r}"
-            )
+                 verify: bool = True):
         self.template = template
-        self.solver = solver
         self.band_grid = band_grid or design_grid(17)
         self.guard_grid = guard_grid or stability_grid(24)
         self._n_band = len(self.band_grid)
@@ -238,8 +224,12 @@ class CompiledTemplate:
         self._f_fused = np.concatenate([self.band_grid.f_hz,
                                         self.guard_grid.f_hz])
         self._compile()
-        self._plan = None
-        self._solver_resolved = self._resolve_solver()
+        try:
+            self._plan = self._build_sparse_plan()
+        except PatternError as exc:
+            raise CompileError(
+                f"the constant MNA block cannot be condensed: {exc}"
+            ) from exc
         if verify:
             self._verify()
 
@@ -251,21 +241,19 @@ class CompiledTemplate:
     # worker wants: the compile runs once per worker, locally, instead
     # of megabytes of tensors crossing the pipe.  Verification is
     # skipped on unpickle: the sender's compile already verified this
-    # same template, and the stamp plan is deterministic.  A state
-    # without a solver entry takes the constructor default, so a fleet
-    # worker always compiles the tier its parent runs.
+    # same template, and the stamp plan is deterministic.  States
+    # pickled when the engine still had a ``solver`` entry load too;
+    # the entry is ignored.
     def __getstate__(self):
         return {
             "template": self.template,
             "band_grid": self.band_grid,
             "guard_grid": self.guard_grid,
-            "solver": self.solver,
         }
 
     def __setstate__(self, state):
-        tier = {"solver": state["solver"]} if "solver" in state else {}
         self.__init__(state["template"], state["band_grid"],
-                      state["guard_grid"], verify=False, **tier)
+                      state["guard_grid"], verify=False)
 
     # -- compilation --------------------------------------------------------
     def _compile(self):
@@ -381,22 +369,6 @@ class CompiledTemplate:
             + len(self._scalar_noise)
             + sum(c.shape[1] for _, c in self._block_noise)
         )
-
-    def _resolve_solver(self) -> str:
-        """Prepare the factorization tier; the tier actually in use.
-
-        The fallback from sparse to dense depends only on the stamp
-        structure, so a fleet worker recompiling this template resolves
-        identically and its rows stay bit-identical to the parent's.
-        """
-        if self.solver == "dense":
-            return "dense"
-        try:
-            self._plan = self._build_sparse_plan()
-        except PatternError:
-            _obs_metrics.inc("mna.sparse_pattern_fallbacks")
-            return "dense"
-        return "sparse"
 
     def _build_sparse_plan(self):
         """Compile the Schur-condensed plan over the fused grid.
@@ -652,62 +624,23 @@ class CompiledTemplate:
         """
         x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
         n_batch = x_physical.shape[0]
-        values = self._candidate_values(x_physical)
-        ids = values[3]
-        if self._solver_resolved == "sparse":
-            # One condensed adjoint solve of the whole fused axis; the
-            # noise columns ride in the precomputed reduced RHS.
-            admittances, scalar_psds, block_psds = values[:3]
-            try:
-                v_ports = self._plan.solve_rows(admittances, n_batch,
-                                                update="auto")
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    "singular circuit (floating node or degenerate "
-                    f"element): {exc}"
-                ) from None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                                  scalar_psds, block_psds)
-            return s, cy_band, ids
-        y_batch, noise_sources = self._stamped_batch(n_batch, *values[:3])
-        n_band = self._n_band
-
-        # Two batched solves sharing the stamped tensor: the band slice
-        # carries the signal *and* noise right-hand sides, the guard
-        # slice only the two port columns (its noise response is never
-        # consumed).  Per-frequency independence makes the split exact.
-        s_band, cy_band, _ = solve_tensor_batch(
-            y_batch[:, :n_band], self._port_rows, self._z0, noise_sources
+        admittances, scalar_psds, block_psds, ids, _ = (
+            self._candidate_values(x_physical)
         )
-        s_guard, _, _ = solve_tensor_batch(
-            y_batch[:, n_band:], self._port_rows, self._z0
-        )
-        s = np.concatenate([s_band, s_guard], axis=1)
+        # One condensed adjoint solve of the whole fused axis; the noise
+        # columns ride in the precomputed reduced RHS.
+        try:
+            v_ports = self._plan.solve_rows(admittances, n_batch,
+                                            update="auto")
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                "singular circuit (floating node or degenerate "
+                f"element): {exc}"
+            ) from None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, cy_band = self._sparse_figures(v_ports, n_batch,
+                                              scalar_psds, block_psds)
         return s, cy_band, ids
-
-    def _stamped_batch(self, n_batch: int, admittances, scalar_psds,
-                       block_psds):
-        """Stamp the (B, F, n, n) tensor and band noise-source list."""
-        y_batch = np.broadcast_to(
-            self._base, (n_batch,) + self._base.shape
-        ).copy()
-        for name, slot in self._slots.items():
-            y_batch[..., slot.rows, slot.cols] += (
-                slot.signs * admittances[name][..., None]
-            )
-        n_band = self._n_band
-        noise_sources = [
-            BatchNoiseSource(src.columns, src.psd[:n_band])
-            for src in self._const_noise
-        ]
-        for name, columns in self._scalar_noise:
-            noise_sources.append(BatchNoiseSource(columns, scalar_psds[name]))
-        for name, columns in self._block_noise:
-            noise_sources.append(
-                BatchNoiseSource(columns, block_psds[name][:, :n_band])
-            )
-        return y_batch, noise_sources
 
     @staticmethod
     def _to_physical(unit_x: np.ndarray) -> np.ndarray:
@@ -821,12 +754,14 @@ class CompiledTemplate:
     def performance_batch_isolated(self, unit_x: np.ndarray):
         """Like :meth:`performance_batch`, but no candidate can sink it.
 
-        Degradation chain per candidate: the fused compiled solve first;
-        rows that make it fail (singular tensors, non-finite figures,
-        unusable bias) are retried one at a time, then through the
-        scalar :meth:`AmplifierTemplate.evaluate` path, and finally —
-        if nothing can evaluate them — filled with the finite
-        worst-case figures of :meth:`AmplifierPerformance.penalty`.
+        Degradation chain per candidate: the fused condensed solve
+        first; if the batch factorization raises, every row is
+        re-solved alone; rows that still fail (singular systems,
+        non-finite figures) go through the scalar
+        :meth:`AmplifierTemplate.evaluate` path, and finally — if
+        nothing can evaluate them, or the bias is unusable — are
+        filled with the finite worst-case figures of
+        :meth:`AmplifierPerformance.penalty`.
         Healthy rows are numerically identical to the plain batch path.
 
         Returns ``(batch, failures, n_fallbacks)``: the
@@ -849,12 +784,13 @@ class CompiledTemplate:
         """Fault-isolated twin of :meth:`performance_batch_physical`.
 
         The same degradation chain as
-        :meth:`performance_batch_isolated` (compiled batch -> per-row
-        scalar fallback -> finite penalty figures) applied to raw
-        physical design vectors with no unit-box clip — robust corner
-        sweeps use this so one unsolvable corner quarantines through
-        the :class:`EvaluationFailure` taxonomy while the healthy
-        corners stay bit-identical to the plain physical batch path.
+        :meth:`performance_batch_isolated` (condensed batch -> one-row
+        re-solves -> scalar fallback -> finite penalty figures) applied
+        to raw physical design vectors with no unit-box clip — robust
+        corner sweeps use this so one unsolvable corner quarantines
+        through the :class:`EvaluationFailure` taxonomy while the
+        healthy corners stay bit-identical to the plain physical batch
+        path.
         ``EvaluationFailure.x`` carries the *physical* row.
         """
         x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
@@ -891,32 +827,11 @@ class CompiledTemplate:
 
         (admittances, scalar_psds, block_psds, ids,
          bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
-        n_band = self._n_band
-        if self._solver_resolved == "sparse":
-            s, cy_band, solver_failed = self._isolated_sparse(
-                n_batch, admittances, scalar_psds, block_psds
-            )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                batch = self._figures(s, cy_band, ids)
-        else:
-            y_batch, noise_sources = self._stamped_batch(
-                n_batch, admittances, scalar_psds, block_psds
-            )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                s_band, cy_band, _, failed_band = (
-                    solve_tensor_batch_isolated(
-                        y_batch[:, :n_band], self._port_rows, self._z0,
-                        noise_sources,
-                    )
-                )
-                s_guard, _, _, failed_guard = solve_tensor_batch_isolated(
-                    y_batch[:, n_band:], self._port_rows, self._z0
-                )
-                s = np.concatenate([s_band, s_guard], axis=1)
-                batch = self._figures(s, cy_band, ids)
-            solver_failed = failed_band | failed_guard
+        s, cy_band, solver_failed = self._solve_isolated(
+            n_batch, admittances, scalar_psds, block_psds
+        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            batch = self._figures(s, cy_band, ids)
         finite = (
             np.isfinite(batch.nf_db).all(axis=1)
             & np.isfinite(batch.gt_db).all(axis=1)
@@ -988,66 +903,41 @@ class CompiledTemplate:
                     self.band_grid, failures[i]))
         return batch, failures, n_fallbacks
 
-    def _isolated_sparse(self, n_batch: int, admittances, scalar_psds,
-                         block_psds):
-        """Failure-isolated sparse solve of one candidate batch.
+    def _solve_isolated(self, n_batch: int, admittances, scalar_psds,
+                        block_psds):
+        """Fault-isolated condensed solve of one candidate batch.
 
-        The happy path is the condensed adjoint solve.  Candidates it
-        cannot represent — a singular reduced system or non-finite
-        results — are re-run through the *dense* isolated machinery as
-        a sub-batch, which carries the full PR 2-4 degradation chain
-        (per-row refactorization, equilibrated rescue, zero-fill +
-        ``failed`` flag) and is spliced back row-for-row.  Healthy rows
-        never leave the sparse path.
+        Returns ``(s, cy_band, failed)``.  When the batch factorization
+        raises, every row is re-solved on its own, so one singular
+        candidate cannot sink the rest; ``failed`` flags the rows that
+        still raise (their figures are NaN).  The caller sends those,
+        and any row with non-finite figures, to the scalar reference.
+        Re-solved rows are bit-identical to one-row calls, so a
+        singular neighbour does not change a healthy row's roundoff.
         """
-        n_band = self._n_band
         if _guard_modes.enabled():
-            # The sparse twin of the dense path's conditioning sample:
-            # the mid-grid *reduced* matrix of the first candidate is
+            # The mid-grid *reduced* matrix of the first candidate is
             # what this tier actually factorizes.
             observe_condition(self._plan.sample_matrix(admittances), "mna")
+        failed = np.zeros(n_batch, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 v_ports = self._plan.solve_rows(admittances, n_batch,
                                                 update="auto")
             except np.linalg.LinAlgError:
-                v_ports = None
                 _obs_metrics.inc("mna.batch_refactorizations")
-            if v_ports is not None:
-                s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                                  scalar_psds, block_psds)
-                bad = ~(
-                    np.isfinite(s).reshape(n_batch, -1).all(axis=1)
-                    & np.isfinite(cy_band).reshape(n_batch, -1).all(axis=1)
-                )
-            else:
-                s = np.zeros((n_batch, self._f_fused.size, 2, 2),
-                             dtype=complex)
-                cy_band = np.zeros((n_batch, n_band, 2, 2), dtype=complex)
-                bad = np.ones(n_batch, dtype=bool)
-
-        failed = np.zeros(n_batch, dtype=bool)
-        if np.any(bad):
-            idx = np.flatnonzero(bad)
-            _obs_metrics.inc("mna.sparse_isolated_fallbacks", int(idx.size))
-            sub_adm = {k: v[idx] for k, v in admittances.items()}
-            sub_scalar = {k: v[idx] for k, v in scalar_psds.items()}
-            sub_block = {k: v[idx] for k, v in block_psds.items()}
-            y_sub, noise_sub = self._stamped_batch(
-                idx.size, sub_adm, sub_scalar, sub_block
-            )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                s_b, cy_b, _, f_band = solve_tensor_batch_isolated(
-                    y_sub[:, :n_band], self._port_rows, self._z0,
-                    noise_sub,
-                )
-                s_g, _, _, f_guard = solve_tensor_batch_isolated(
-                    y_sub[:, n_band:], self._port_rows, self._z0
-                )
-            s[idx] = np.concatenate([s_b, s_g], axis=1)
-            cy_band[idx] = cy_b
-            failed[idx] = f_band | f_guard
+                v_ports = np.full(
+                    (n_batch, self._f_fused.size, self._plan.n_out,
+                     self._plan.n_rhs), np.nan, dtype=complex)
+                for i in range(n_batch):
+                    row = {k: v[i:i + 1] for k, v in admittances.items()}
+                    try:
+                        v_ports[i] = self._plan.solve_rows(
+                            row, 1, update="auto")[0]
+                    except np.linalg.LinAlgError:
+                        failed[i] = True
+            s, cy_band = self._sparse_figures(v_ports, n_batch,
+                                              scalar_psds, block_psds)
         return s, cy_band, failed
 
     @staticmethod

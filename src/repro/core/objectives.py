@@ -123,10 +123,9 @@ class LnaEvaluator:
     store if the template is mutated in place).
 
     By default evaluations run through the compiled batched engine
-    (:class:`repro.core.engine.CompiledTemplate`) on its default
-    condensed (sparse) tier, which matches the scalar path to ~1e-10;
-    pass ``engine="scalar"`` to force the original per-candidate
-    circuit build.
+    (:class:`repro.core.engine.CompiledTemplate`), which matches the
+    scalar path to ~1e-10; pass ``engine="scalar"`` to force the
+    original per-candidate circuit build (the test oracle).
 
     Failure isolation: with ``on_failure="penalty"`` (the default) a
     candidate whose solve raises (``DcConvergenceError``, singular

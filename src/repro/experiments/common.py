@@ -22,15 +22,14 @@ def reference_device() -> ReferencePHEMT:
     return make_reference_device()
 
 
-@lru_cache(maxsize=2)
-def design_flow(engine: str = "compiled") -> DesignFlow:
+@lru_cache(maxsize=1)
+def design_flow() -> DesignFlow:
     """A design flow bound to the golden device."""
-    return DesignFlow(reference_device().small_signal, engine=engine)
+    return DesignFlow(reference_device().small_signal)
 
 
-@lru_cache(maxsize=4)
-def selected_design(profile: str = "full",
-                    engine: str = "compiled") -> FinalDesign:
+@lru_cache(maxsize=2)
+def selected_design(profile: str = "full") -> FinalDesign:
     """The selected design, finalized (snapped + verified).
 
     ``profile="full"`` runs the improved goal-attainment method at the
@@ -38,7 +37,7 @@ def selected_design(profile: str = "full",
     a cheaper design of the same topology used by the test suite to
     exercise E8-E11 without the full optimization cost.
     """
-    flow = design_flow(engine)
+    flow = design_flow()
     if profile == "full":
         result = flow.run_improved(seed=11, n_probe=40, n_starts=3,
                                    tighten_rounds=2)

@@ -26,7 +26,7 @@ from repro.obs.runs import recorded_run
 __all__ = ["E5Result", "run", "submit", "format_report"]
 
 
-def submit(service, seed: int = 0, engine: str = "compiled",
+def submit(service, seed: int = 0,
            workers: Optional[int] = None,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
@@ -39,7 +39,7 @@ def submit(service, seed: int = 0, engine: str = "compiled",
     retry handled by the supervisor.
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(seed=seed, engine=engine, workers=workers, **run_kwargs)
+    kwargs = dict(seed=seed, workers=workers, **run_kwargs)
     return submit_experiment(service, "e5_optimizer_comparison", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -51,16 +51,13 @@ class E5Result:
     goals: np.ndarray
 
 
-def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
+def run(seed: int = 0, goals=DEFAULT_GOALS,
         workers: Optional[int] = None,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E5Result:
     """Run the three optimizers on a fresh LNA problem each.
 
-    ``engine`` selects the evaluation path ("compiled" batches the
-    improved method's probe stage through one MNA factorization;
-    "scalar" forces the original per-candidate circuit build).
-    ``workers > 1`` additionally shards each flow's population-level
+    ``workers > 1`` shards each flow's population-level
     evaluations across threads (bit-identical results, see
     :class:`~repro.core.design.DesignFlow`).
     ``record_to`` names a runs root: the experiment is then recorded as
@@ -74,8 +71,7 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
     """
     goals = np.asarray(goals, dtype=float)
     rows = []
-    config = {"experiment": "e5", "engine": engine,
-              "goals": goals.tolist()}
+    config = {"experiment": "e5", "goals": goals.tolist()}
 
     def record(name, flow, result):
         perf = flow.evaluator.performance(result.x)
@@ -104,7 +100,7 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
                                           population_size=40)
 
         with _obs_tracer.span("e5.improved_goal_attainment"), \
-                DesignFlow(device.small_signal, engine=engine,
+                DesignFlow(device.small_signal,
                            workers=workers) as flow:
             record("improved goal attainment", flow,
                    flow.run_improved(goals=goals, seed=seed, n_probe=40,
@@ -113,13 +109,13 @@ def run(seed: int = 0, goals=DEFAULT_GOALS, engine: str = "compiled",
                                      on_generation=journal))
 
         with _obs_tracer.span("e5.standard_goal_attainment"), \
-                DesignFlow(device.small_signal, engine=engine,
+                DesignFlow(device.small_signal,
                            workers=workers) as flow:
             record("standard goal attainment", flow,
                    flow.run_standard(goals=goals))
 
         with _obs_tracer.span("e5.weighted_sum"), \
-                DesignFlow(device.small_signal, engine=engine,
+                DesignFlow(device.small_signal,
                            workers=workers) as flow:
             record("weighted sum", flow,
                    flow.run_weighted_sum(weights=(1.0, 0.1), seed=seed,

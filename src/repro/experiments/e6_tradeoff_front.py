@@ -28,7 +28,7 @@ __all__ = ["E6Result", "run", "submit", "format_report"]
 
 
 def submit(service, n_points: int = 5, seed: int = 0,
-           engine: str = "compiled", workers: Optional[int] = None,
+           workers: Optional[int] = None,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
     """Submit the front sweep to a job service instead of running inline.
@@ -38,8 +38,8 @@ def submit(service, n_points: int = 5, seed: int = 0,
     retry, crash recovery).
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(n_points=n_points, seed=seed, engine=engine,
-                  workers=workers, **run_kwargs)
+    kwargs = dict(n_points=n_points, seed=seed, workers=workers,
+                  **run_kwargs)
     return submit_experiment(service, "e6_tradeoff_front", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -55,7 +55,7 @@ class E6Result:
     reference: np.ndarray
 
 
-def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
+def run(n_points: int = 5, seed: int = 0,
         workers: Optional[int] = None,
         record_to: Optional[str] = None,
         warm_start: Optional[str] = None) -> E6Result:
@@ -70,8 +70,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
     population seeds every goal point's probe stage (see
     :func:`repro.obs.analytics.warm_start_population`).
     """
-    config = {"experiment": "e6", "engine": engine,
-              "n_points": int(n_points)}
+    config = {"experiment": "e6", "n_points": int(n_points)}
     recording = (
         recorded_run(record_to, name="e6", config=config,
                      seeds={"seed": int(seed)})
@@ -93,7 +92,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
         for k, (nf_goal, gt_goal) in enumerate(zip(nf_goals, gt_goals)):
             with _obs_tracer.span("e6.goal_point", index=k,
                                   nf_goal=float(nf_goal)), \
-                    DesignFlow(device.small_signal, engine=engine,
+                    DesignFlow(device.small_signal,
                                workers=workers) as flow:
                 result = flow.run_improved(
                     goals=np.array([nf_goal, -gt_goal]), seed=seed,
@@ -108,7 +107,7 @@ def run(n_points: int = 5, seed: int = 0, engine: str = "compiled",
         wsum_points = []
         for k, w_nf in enumerate(np.linspace(0.1, 4.0, n_points)):
             with _obs_tracer.span("e6.wsum_point", index=k), \
-                    DesignFlow(device.small_signal, engine=engine,
+                    DesignFlow(device.small_signal,
                                workers=workers) as flow:
                 result = flow.run_weighted_sum(weights=(w_nf, 0.2),
                                                seed=seed, n_starts=3)

@@ -22,7 +22,7 @@ from repro.obs.runs import recorded_run
 __all__ = ["E8Result", "run", "submit", "format_report"]
 
 
-def submit(service, profile: str = "full", engine: str = "compiled",
+def submit(service, profile: str = "full",
            workers: Optional[int] = None,
            deadline_s: Optional[float] = None, max_retries: int = 1,
            **run_kwargs):
@@ -33,8 +33,7 @@ def submit(service, profile: str = "full", engine: str = "compiled",
     retry, crash recovery).
     """
     from repro.service.api import submit_experiment
-    kwargs = dict(profile=profile, engine=engine, workers=workers,
-                  **run_kwargs)
+    kwargs = dict(profile=profile, workers=workers, **run_kwargs)
     return submit_experiment(service, "e8_selected_design", kwargs,
                              deadline_s=deadline_s,
                              max_retries=max_retries)
@@ -45,7 +44,7 @@ class E8Result:
     design: FinalDesign
 
 
-def run(profile: str = "full", engine: str = "compiled",
+def run(profile: str = "full",
         workers: Optional[int] = None,
         record_to: Optional[str] = None) -> E8Result:
     """Fetch (or compute) the cached selected design.
@@ -58,18 +57,17 @@ def run(profile: str = "full", engine: str = "compiled",
     """
     if record_to is None and workers is None:
         with _obs_tracer.span("e8.run", profile=profile):
-            return E8Result(design=selected_design(profile, engine))
+            return E8Result(design=selected_design(profile))
     recording = (
         recorded_run(record_to, name="e8",
-                     config={"experiment": "e8", "engine": engine,
-                             "profile": profile},
+                     config={"experiment": "e8", "profile": profile},
                      seeds={"seed": 11})
         if record_to is not None else nullcontext()
     )
     with recording as run_dir:
         with _obs_tracer.span("e8.run", profile=profile), \
                 DesignFlow(reference_device().small_signal,
-                           engine=engine, workers=workers) as flow:
+                           workers=workers) as flow:
             if profile == "full":
                 result = flow.run_improved(
                     seed=11, n_probe=40, n_starts=3, tighten_rounds=2,

@@ -149,7 +149,7 @@ class TestCornerSet:
 
 def test_bias_only_sweep_takes_woodbury_path(template):
     engine = CompiledTemplate(template, design_grid(9), stability_grid(12),
-                              verify=False, solver="sparse")
+                              verify=False)
     corner_x = CornerSet.bias().apply(DesignVariables().to_vector())
     engine.performance_batch_physical(corner_x)
     assert engine._plan.last_update == "woodbury"

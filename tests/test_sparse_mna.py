@@ -1,10 +1,12 @@
-"""Solver-tier contracts: sparse plan, default tier, isolation, copies.
+"""Condensed-solve contracts: sparse plan, rescue chain, isolation, copies.
 
 Companion to the random-circuit equivalence sweep — this file pins the
-*contract* surface of the sparse tier: kernels never mutate their
-inputs, ``BatchACResult.candidate`` detaches, the condensed tier is the
-engine default and survives pickling, the paper's design pipeline gives
-the same answers on either tier, guards sample the reduced matrix, and
+*contract* surface of the compiled engine's condensed solve: the dense
+kernels never mutate their inputs, ``BatchACResult.candidate``
+detaches, the engine survives pickling, the paper's design pipeline
+agrees with the scalar oracle, guards sample the reduced matrix, rows
+the condensed batch cannot solve are rescued one at a time and then by
+the scalar path, an uncondensable template is a ``CompileError``, and
 the Woodbury residual check falls ill-conditioned candidates back to
 full refactorization.
 """
@@ -20,10 +22,9 @@ from repro.analysis.compiled import (
     solve_tensor_batch,
 )
 from repro.analysis.netlist import Circuit
-from repro.analysis.sparsemna import MutableGroup, build_plan
+from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
-from repro.core.design import DesignFlow
-from repro.core.engine import CompiledTemplate
+from repro.core.engine import CompiledTemplate, CompileError
 from repro.core.objectives import LnaEvaluator, build_lna_problem
 from repro.experiments.common import reference_device
 from repro.guards.modes import guard_mode
@@ -49,12 +50,12 @@ def lna_template():
 
 @pytest.fixture(scope="module")
 def sparse_engine(lna_template):
-    return CompiledTemplate(lna_template, solver="sparse", verify=False)
+    return CompiledTemplate(lna_template, verify=False)
 
 
 def _varying_tensor(n_batch=4, n_nodes=4):
     """A healthy same-topology batch whose candidates differ in a few
-    entries (so the sparse tier has a stamp hull to condense)."""
+    entries."""
     f = GRID.f_hz
     y = np.zeros((n_batch, f.size, n_nodes, n_nodes), dtype=complex)
     g = 1.0 / 75.0
@@ -76,24 +77,15 @@ PORTS = np.array([0, 1])
 # ----------------------------------------------------------------------
 
 class TestNonMutatingKernel:
-    @pytest.mark.parametrize("solver", ["dense", "sparse"])
-    def test_solve_tensor_batch_leaves_input_bit_identical(self, solver):
+    def test_solve_tensor_batch_leaves_input_bit_identical(self):
         y = _varying_tensor()
         psd = np.full((4, GRID.f_hz.size), 1e-20)
         sources = [BatchNoiseSource(
             np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex), psd
         )]
         before = y.tobytes()
-        solve_tensor_batch(y, PORTS, 50.0, sources, solver=solver)
+        solve_tensor_batch(y, PORTS, 50.0, sources)
         assert y.tobytes() == before
-
-    @pytest.mark.parametrize("solver", ["bogus", "auto"])
-    def test_solver_argument_validated(self, solver):
-        y = _varying_tensor()
-        with pytest.raises(ValueError, match="solver"):
-            solve_tensor_batch(y, PORTS, 50.0, solver=solver)
-        with pytest.raises(ValueError, match="solver"):
-            CompiledTemplate(None, solver=solver)
 
 
 # ----------------------------------------------------------------------
@@ -125,30 +117,22 @@ def test_candidate_returns_detached_copy():
 
 
 # ----------------------------------------------------------------------
-# default tier
+# pickling and the scalar oracle
 # ----------------------------------------------------------------------
 
-def test_condensed_tier_is_the_engine_default(lna_template):
-    assert CompiledTemplate(lna_template, verify=False)._solver_resolved \
-        == "sparse"
-    assert LnaEvaluator(lna_template)._compiled._solver_resolved == "sparse"
-    flow = DesignFlow(reference_device().small_signal)
-    assert flow.evaluator._compiled._solver_resolved == "sparse"
-
-
-@pytest.mark.parametrize("solver", [None, "sparse", "dense"])
-def test_engine_pickle_round_trips_solver(lna_template, solver):
-    kwargs = {} if solver is None else {"solver": solver}
-    engine = CompiledTemplate(lna_template, verify=False, **kwargs)
+@pytest.mark.parametrize("legacy_solver", [None, "sparse", "dense"])
+def test_engine_pickle_round_trips_solver(lna_template, legacy_solver):
+    """Round trips recompile the same engine.  States pickled while the
+    engine still had a ``solver`` knob load too; the entry is ignored,
+    so even an old ``"dense"`` state evaluates bit-identically."""
+    engine = CompiledTemplate(lna_template, verify=False)
     state = engine.__getstate__()
-    clone = pickle.loads(pickle.dumps(engine))
-    # A state written without the tier key takes the current default.
-    legacy = CompiledTemplate.__new__(CompiledTemplate)
-    legacy.__setstate__({k: v for k, v in state.items() if k != "solver"})
-    expected = solver or "sparse"
-    assert clone.solver == expected
-    assert clone._solver_resolved == expected
-    assert legacy._solver_resolved == "sparse"
+    assert "solver" not in state
+    if legacy_solver is None:
+        clone = pickle.loads(pickle.dumps(engine))
+    else:
+        clone = CompiledTemplate.__new__(CompiledTemplate)
+        clone.__setstate__(dict(state, solver=legacy_solver))
     pop = np.random.default_rng(3).random((4, len(DesignVariables.NAMES)))
     a = engine.performance_batch(pop)
     b = clone.performance_batch(pop)
@@ -156,52 +140,16 @@ def test_engine_pickle_round_trips_solver(lna_template, solver):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-# ----------------------------------------------------------------------
-# the design pipeline on either tier
-# ----------------------------------------------------------------------
-
-def _dense_evaluator(evaluator: LnaEvaluator) -> LnaEvaluator:
-    """*evaluator* switched to the dense reference tier in place."""
-    evaluator._compiled = CompiledTemplate(
-        evaluator.template, evaluator.band_grid, evaluator.guard_grid,
-        solver="dense")
-    return evaluator
-
-
 def test_design_problem_agrees_across_tiers(lna_template):
-    sparse = build_lna_problem(lna_template, evaluator=LnaEvaluator(
+    compiled = build_lna_problem(lna_template, evaluator=LnaEvaluator(
         lna_template))
-    dense = build_lna_problem(lna_template, evaluator=_dense_evaluator(
-        LnaEvaluator(lna_template)))
+    scalar = build_lna_problem(lna_template, evaluator=LnaEvaluator(
+        lna_template, engine="scalar"))
     pop = np.random.default_rng(17).random((64, len(DesignVariables.NAMES)))
     for name in ("objectives_batch", "constraints_batch"):
-        np.testing.assert_allclose(getattr(sparse, name)(pop),
-                                   getattr(dense, name)(pop),
+        np.testing.assert_allclose(getattr(compiled, name)(pop),
+                                   getattr(scalar, name)(pop),
                                    rtol=1e-9, atol=1e-9)
-
-
-def test_improved_goal_attainment_agrees_across_tiers():
-    """E5's method ends at the same design on either tier.
-
-    The SLSQP path follows roundoff, so evaluation counts are not
-    compared.  At this small budget the end point can too: for some
-    seeds the two tiers settle in different local optima (seed 3 with
-    ``n_probe=8`` ends near GT 15.6 dB on one tier and 14.8 dB on the
-    other).  This seed reaches the same optimum on both.
-    """
-    device = reference_device().small_signal
-    results = []
-    for dense in (False, True):
-        flow = DesignFlow(device)
-        if dense:
-            _dense_evaluator(flow.evaluator)
-        results.append(flow.run_improved(seed=3, n_probe=12, n_starts=1,
-                                         tighten_rounds=0))
-    sparse_result, dense_result = results
-    for result in results:
-        assert result.constraint_violation <= 1e-6
-    np.testing.assert_allclose(sparse_result.objectives,
-                               dense_result.objectives, atol=0.01)
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +175,10 @@ def test_sparse_isolated_samples_conditioning_guard(fresh_metrics,
                                    rtol=1e-12, atol=1e-12)
 
 
-def test_sparse_isolated_splices_dense_rescue(monkeypatch, fresh_metrics,
-                                              sparse_engine):
-    """A row the sparse path cannot represent is re-run through the
-    dense isolated machinery and spliced back — not zero-filled."""
+def test_sparse_isolated_splices_scalar_rescue(monkeypatch, fresh_metrics,
+                                               sparse_engine):
+    """A row the condensed solve returns non-finite is re-evaluated by
+    the scalar reference and spliced back — not penalized."""
     pop = np.random.default_rng(11).random((4, len(DesignVariables.NAMES)))
     reference = sparse_engine.performance_batch(pop)
     plan = sparse_engine._plan
@@ -244,15 +192,74 @@ def test_sparse_isolated_splices_dense_rescue(monkeypatch, fresh_metrics,
         return out
 
     monkeypatch.setattr(plan, "solve_rows", poisoned)
-    batch, failures, _ = sparse_engine.performance_batch_isolated(pop)
+    batch, failures, n_fallbacks = (
+        sparse_engine.performance_batch_isolated(pop)
+    )
     assert all(f is None for f in failures)
-    assert fresh_metrics.counter("mna.sparse_isolated_fallbacks") == 1
-    # The rescued row agrees with the healthy reference; rows 0/2/3
-    # never left the sparse path.
+    assert n_fallbacks == 1
+    assert fresh_metrics.counter("engine.scalar_fallbacks") == 1
     for name in ("nf_db", "gt_db", "mu_min"):
-        np.testing.assert_allclose(getattr(batch, name),
-                                   getattr(reference, name),
+        # Rows 0/2/3 never left the condensed path.
+        np.testing.assert_array_equal(getattr(batch, name)[[0, 2, 3]],
+                                      getattr(reference, name)[[0, 2, 3]])
+        np.testing.assert_allclose(getattr(batch, name)[1],
+                                   getattr(reference, name)[1],
                                    rtol=1e-9, atol=1e-9)
+
+
+def test_singular_batch_is_resolved_row_by_row(monkeypatch, fresh_metrics,
+                                               sparse_engine):
+    """A batch factorization that raises is re-solved one row at a time:
+    healthy rows come out exactly as one-row calls, a row that raises on
+    its own goes to the scalar reference."""
+    pop = np.random.default_rng(23).random((5, len(DesignVariables.NAMES)))
+    singles = [sparse_engine.performance_batch(pop[i:i + 1])
+               for i in range(pop.shape[0])]
+    plan = sparse_engine._plan
+    real = plan.solve_rows
+    bad_rstab = sparse_engine._candidate_values(
+        sparse_engine._to_physical(pop[3:4]))[0]["Rstab"]
+
+    def singular(coeffs, n_batch, update="full"):
+        if n_batch > 1 or np.array_equal(coeffs["Rstab"], bad_rstab):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(coeffs, n_batch, update=update)
+
+    monkeypatch.setattr(plan, "solve_rows", singular)
+    batch, failures, n_fallbacks = (
+        sparse_engine.performance_batch_isolated(pop)
+    )
+    assert all(f is None for f in failures)
+    assert n_fallbacks == 1
+    assert fresh_metrics.counter("mna.batch_refactorizations") == 1
+    for i, single in enumerate(singles):
+        for name in ("nf_db", "gt_db", "s11_db", "s22_db", "mu_min", "ids"):
+            if i == 3:
+                np.testing.assert_allclose(getattr(batch, name)[i],
+                                           getattr(single, name)[0],
+                                           rtol=1e-9, atol=1e-9)
+            else:
+                np.testing.assert_array_equal(getattr(batch, name)[i],
+                                              getattr(single, name)[0])
+
+
+def test_uncondensable_template_falls_back_to_scalar(monkeypatch,
+                                                     lna_template):
+    def no_plan(*args, **kwargs):
+        raise PatternError("constant internal block is singular")
+
+    monkeypatch.setattr("repro.core.engine.build_plan", no_plan)
+    with pytest.raises(CompileError, match="condensed"):
+        CompiledTemplate(lna_template, verify=False)
+    with pytest.warns(RuntimeWarning, match="scalar path"):
+        evaluator = LnaEvaluator(lna_template)
+    assert evaluator.engine == "scalar"
+    unit_x = np.full(len(DesignVariables.NAMES), 0.4)
+    expected = lna_template.evaluate(
+        DesignVariables.from_unit(unit_x), evaluator.band_grid,
+        evaluator.guard_grid)
+    np.testing.assert_array_equal(evaluator.performance(unit_x).nf_db,
+                                  expected.nf_db)
 
 
 # ----------------------------------------------------------------------
