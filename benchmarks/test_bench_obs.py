@@ -49,7 +49,9 @@ def test_bench_disabled_tracing_overhead(save_report, report_dir):
     population = rng.random((N_CANDIDATES, len(DesignVariables.NAMES)))
 
     def bare():
-        engine._batch_isolated(population)
+        engine._batch_isolated(
+            engine._to_physical(population), population,
+            lambda i: DesignVariables.from_unit(population[i]))
 
     def instrumented():
         engine.performance_batch_isolated(population)

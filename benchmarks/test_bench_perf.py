@@ -1,15 +1,12 @@
 """Bench: the batched candidate-evaluation engine vs the scalar loop.
 
-Times a 64-candidate population evaluation three ways — per-candidate
-scalar loop, one compiled batched solve, and a worker-fleet spread of
-the scalar objective — and writes ``BENCH_eval_engine.json`` with the
-timings, throughput, and host context.  Acceptance bars: >= 3x batched
-over scalar everywhere, and (on hosts with >= 2 CPUs) the fleet at
-least break-even against the scalar loop.
+Times a 64-candidate population evaluation two ways — per-candidate
+scalar loop and one compiled batched solve — and writes
+``BENCH_eval_engine.json`` with the timings, throughput, and host
+context.  Acceptance bar: >= 3x batched over scalar.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -17,7 +14,6 @@ import numpy as np
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.engine import CompiledTemplate
 from repro.experiments.common import reference_device
-from repro.optimize.batching import PopulationEvaluator
 
 N_CANDIDATES = 64
 _TEMPLATE = None
@@ -34,7 +30,7 @@ def _shared_template():
 
 
 def _scalar_objective(unit_x):
-    """Module-level (hence picklable) scalar NFmax objective."""
+    """Scalar NFmax objective through the netlist path."""
     template, (band, guard) = _shared_template()
     perf = template.evaluate(DesignVariables.from_unit(unit_x), band, guard)
     return float(perf.nf_max_db)
@@ -64,52 +60,28 @@ def test_bench_eval_engine(save_report, report_dir, host_context):
     ], repeats=2)
     t_batched = _best_of(lambda: engine.performance_batch(population))
 
-    t_pooled = None
-    try:
-        with PopulationEvaluator(_scalar_objective, workers=2) as pooled:
-            pooled(population[:2])  # absorb pool spin-up
-            start = time.perf_counter()
-            pooled(population)
-            t_pooled = time.perf_counter() - start
-    except (OSError, RuntimeError):
-        pass  # no subprocess support in this environment
-
     speedup = t_scalar / t_batched
     payload = {
         "n_candidates": N_CANDIDATES,
         "scalar_s": t_scalar,
         "batched_s": t_batched,
-        "pooled_s": t_pooled,
         "scalar_candidates_per_s": N_CANDIDATES / t_scalar,
         "batched_candidates_per_s": N_CANDIDATES / t_batched,
-        "pooled_candidates_per_s": (
-            N_CANDIDATES / t_pooled if t_pooled else None
-        ),
         "speedup_batched_vs_scalar": speedup,
-        "speedup_pooled_vs_scalar": (
-            t_scalar / t_pooled if t_pooled else None
-        ),
-        "host": host_context(workers=2, backend="fleet"),
+        "host": host_context(),
     }
     (report_dir / "BENCH_eval_engine.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
-    lines = [
+    report = "\n".join([
         f"population of {N_CANDIDATES} candidates",
         f"scalar loop : {1e3 * t_scalar:8.1f} ms "
         f"({N_CANDIDATES / t_scalar:7.1f} candidates/s)",
         f"batched     : {1e3 * t_batched:8.1f} ms "
         f"({N_CANDIDATES / t_batched:7.1f} candidates/s)  "
         f"speedup {speedup:.1f}x",
-    ]
-    if t_pooled:
-        lines.append(
-            f"pooled (2w) : {1e3 * t_pooled:8.1f} ms "
-            f"({N_CANDIDATES / t_pooled:7.1f} candidates/s)  "
-            f"speedup {t_scalar / t_pooled:.1f}x"
-        )
-    report = "\n".join(lines)
+    ])
     save_report("BENCH_eval_engine", report)
     print("\n" + report)
 
@@ -117,9 +89,3 @@ def test_bench_eval_engine(save_report, report_dir, host_context):
         f"batched evaluation only {speedup:.2f}x faster than the "
         f"scalar loop (needs >= 3x)"
     )
-    if t_pooled and (os.cpu_count() or 1) >= 2:
-        pooled_speedup = t_scalar / t_pooled
-        assert pooled_speedup >= 1.0, (
-            f"worker fleet slower than the scalar loop "
-            f"({pooled_speedup:.2f}x) on a multi-core host"
-        )

@@ -40,6 +40,7 @@ and failure isolation live with the caller (:mod:`repro.core.engine`).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -197,8 +198,10 @@ class SparsePlan:
         self.last_update: Optional[str] = None
         # Assembly scratch, keyed by batch size: the (B, F, m, m)
         # buffer never escapes a solve, so reusing it saves the
-        # dominant allocation of the per-batch hot path.
-        self._scratch: Dict[int, np.ndarray] = {}
+        # dominant allocation of the per-batch hot path.  It is kept
+        # per thread, so thread shards of one population never
+        # assemble into each other's buffer.
+        self._scratch = threading.local()
         self._rhs_tiled: Dict[int, np.ndarray] = {}
 
     @property
@@ -224,10 +227,10 @@ class SparsePlan:
         Scattering at swapped local coordinates builds ``M^T`` directly
         — the adjoint solve never materializes ``M`` itself.
         """
-        mt = self._scratch.get(n_batch)
+        mt = getattr(self._scratch, "mt", None)
         if mt is None or mt.shape[0] != n_batch:
             mt = np.empty((n_batch,) + self._schur_t.shape, dtype=complex)
-            self._scratch = {n_batch: mt}
+            self._scratch.mt = mt
         np.copyto(mt, self._schur_t)
         for group in self._groups:
             c = np.asarray(coeffs[group.name], dtype=complex)

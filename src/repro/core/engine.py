@@ -97,7 +97,6 @@ from repro.util.constants import BOLTZMANN, T_AMBIENT
 __all__ = [
     "CompileError",
     "CompiledTemplate",
-    "CompiledMetricObjective",
     "BatchPerformance",
     "StampSlot",
     "VARIABLE_ELEMENT_NAMES",
@@ -237,9 +236,8 @@ class CompiledTemplate:
     # A compiled engine is mostly derived state (stamp tensors, index
     # arrays, noise injections), all reproducible from the constructor
     # inputs.  Pickling therefore ships only (template, grids) and the
-    # receiver recompiles — which is exactly what a spawned evaluator
-    # worker wants: the compile runs once per worker, locally, instead
-    # of megabytes of tensors crossing the pipe.  Verification is
+    # receiver recompiles locally instead of unpickling megabytes of
+    # tensors.  Verification is
     # skipped on unpickle: the sender's compile already verified this
     # same template, and the stamp plan is deterministic.  States
     # pickled when the engine still had a ``solver`` entry load too;
@@ -996,52 +994,3 @@ class CompiledTemplate:
                         f"VARIABLE_ELEMENT_NAMES in repro.core.engine"
                     )
 
-
-class CompiledMetricObjective:
-    """Picklable recipe for metric objectives built *inside* a worker.
-
-    The evaluator fleet (:class:`repro.optimize.fleet.WorkerFleet`)
-    accepts an ``objective_factory`` that each worker process calls
-    once at startup.  This class is that factory for the common case —
-    "compile the template and optimize one figure of merit": it
-    carries only the template and grids (cheap to pickle), and
-    :meth:`__call__` compiles a :class:`CompiledTemplate` locally and
-    returns the ``(scalar, batch)`` objective pair over *metric*.
-
-    Because the compile happens independently in every worker from the
-    same deterministic inputs, each worker's stamp plan — and therefore
-    every row it evaluates — is bit-identical to the parent's.
-    """
-
-    #: ``(B,)`` figures of merit a batch evaluation exposes directly.
-    METRICS = ("nf_max_db", "gt_min_db", "gt_ripple_db", "mu_min", "ids")
-
-    def __init__(self, template: AmplifierTemplate,
-                 metric: str = "nf_max_db",
-                 band_grid: Optional[FrequencyGrid] = None,
-                 guard_grid: Optional[FrequencyGrid] = None,
-                 sign: float = 1.0):
-        if metric not in self.METRICS:
-            raise ValueError(
-                f"metric must be one of {self.METRICS}, got {metric!r}"
-            )
-        self.template = template
-        self.metric = metric
-        self.band_grid = band_grid
-        self.guard_grid = guard_grid
-        self.sign = float(sign)
-
-    def __call__(self):
-        engine = CompiledTemplate(self.template, self.band_grid,
-                                  self.guard_grid, verify=False)
-        metric, sign = self.metric, self.sign
-
-        def scalar(unit_x: np.ndarray) -> float:
-            batch = engine.performance_batch(np.atleast_2d(unit_x))
-            return sign * float(getattr(batch, metric)[0])
-
-        def batch_fn(unit_pop: np.ndarray) -> np.ndarray:
-            batch = engine.performance_batch(unit_pop)
-            return sign * np.asarray(getattr(batch, metric), dtype=float)
-
-        return scalar, batch_fn

@@ -61,7 +61,7 @@ def format_run_health(health: RunHealth,
 
     Every optimizer result carries a ``health`` record; experiment
     drivers print it after a run so silent degradation (penalized
-    candidates, pool rebuilds, serial fallback) stays visible.
+    candidates, batch retries, engine fallbacks) stays visible.
     """
     rows = [[key, value] for key, value in health.as_dict().items()]
     if health.resumed_at is not None:

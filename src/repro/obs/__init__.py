@@ -3,8 +3,7 @@
 Three pieces, threaded through the whole stack:
 
 * :mod:`repro.obs.tracer` — nested spans with a context-manager and
-  decorator API, monotonic-clock timing, per-worker buffers merged by
-  :class:`~repro.optimize.batching.PopulationEvaluator`.  Enabled by
+  decorator API, monotonic-clock timing, per-thread span stacks.  Enabled by
   ``REPRO_TRACE=1`` or programmatically; free when disabled.
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry that
   absorbs the :class:`~repro.optimize.faults.RunHealth` counters and

@@ -320,28 +320,19 @@ def _cmd_fleet_top(args) -> int:
 
 
 def _cmd_gc(args) -> int:
-    """Report (or with ``--force`` delete) crash wreckage.
+    """Report (or with ``--force`` delete) orphan run directories.
 
-    Two sweeps:
-
-    * **Orphan run directories** — runs whose journal never got its
-      ``run_end`` trailer and that no live service job (pending or
-      leased in a ``--service`` root's queue) still owns.  Live jobs
-      are protected because a released or recovered job has no trailer
-      *by design*: its checkpoint must survive for lease takeover.
-    * **Stale shared-memory segments** — ``/dev/shm`` segments with the
-      worker-fleet name prefix whose embedded owner pid is dead.
+    An orphan is a run whose journal never got its ``run_end`` trailer
+    and that no live service job (pending or leased in a ``--service``
+    root's queue) still owns.  Live jobs are protected because a
+    released or recovered job has no trailer *by design*: its
+    checkpoint must survive for lease takeover.
 
     Reporting is the default; nothing is deleted without ``--force``.
     """
     import shutil
 
     from repro.obs.runs import find_orphan_runs
-    from repro.optimize.fleet import (
-        segment_owner_pid,
-        stale_segments,
-        unlink_segment,
-    )
     from repro.service.queue import live_job_ids
 
     service_roots = list(args.service or [])
@@ -364,20 +355,14 @@ def _cmd_gc(args) -> int:
             if real not in seen_paths:
                 seen_paths.add(real)
                 orphans.append(orphan)
-    segments = [] if args.no_shm else stale_segments()
 
     for orphan in orphans:
         print(f"orphan run     : {orphan['path']}  ({orphan['reason']})")
-    for name in segments:
-        owner = segment_owner_pid(name)
-        print(f"stale segment  : {name}  "
-              f"(owner pid {owner if owner is not None else '?'} is dead)")
-    if not orphans and not segments:
+    if not orphans:
         print("nothing to collect")
         return 0
     if not args.force:
-        print(f"(report only: {len(orphans)} orphan run(s), "
-              f"{len(segments)} stale segment(s); "
+        print(f"(report only: {len(orphans)} orphan run(s); "
               f"rerun with --force to delete)")
         return 0
     n_removed = 0
@@ -388,9 +373,7 @@ def _cmd_gc(args) -> int:
         except OSError as exc:
             print(f"error: could not remove {orphan['path']!r}: {exc}",
                   file=sys.stderr)
-    n_unlinked = sum(1 for name in segments if unlink_segment(name))
-    print(f"deleted {n_removed} orphan run(s), "
-          f"unlinked {n_unlinked} stale segment(s)")
+    print(f"deleted {n_removed} orphan run(s)")
     return 0
 
 
@@ -516,14 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser(
         "gc", help="find (and with --force delete) orphaned run "
-                   "directories and stale shared-memory segments")
+                   "directories")
     gc.add_argument(
         "--service", action="append", metavar="ROOT",
         help="also scan this service root's runs/, protecting its "
              "live (pending/leased) jobs (repeatable)",
     )
-    gc.add_argument("--no-shm", action="store_true",
-                    help="skip the /dev/shm stale-segment scan")
     gc.add_argument("--force", action="store_true",
                     help="delete what the scan found (default: report)")
     gc.set_defaults(handler=_cmd_gc)

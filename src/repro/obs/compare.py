@@ -451,7 +451,7 @@ def compare_summaries(baseline: RunSummary, candidate: RunSummary,
     ``(kind, tol, direction)`` tuples); *counter_checks* maps counter
     names to relative tolerances for opt-in counter comparisons (the
     override replaces the tolerance but keeps the key's default
-    direction, so tightening ``speedup_fleet_vs_batched`` still only
+    direction, so tightening ``speedup_thread_vs_batched`` still only
     fires on a drop).  When either side is *bare* (a flat-JSON
     baseline), the intersection of the two counter sets is compared
     automatically under :func:`_bare_rule` — ``host.`` / ``context.``

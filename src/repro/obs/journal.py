@@ -1,7 +1,7 @@
 """Flight-recorder run journal: a crash-safe, append-only JSONL stream.
 
 A long optimization run's evidence — convergence telemetry, failures,
-pool rebuilds, guard violations — used to live only in memory until an
+retries, guard violations — used to live only in memory until an
 ad-hoc export at the end, so a crash (or a resume on another machine)
 lost the story.  :class:`RunJournal` fixes that the way real flight
 recorders do: every event is appended to ``journal.jsonl`` *as it

@@ -216,19 +216,16 @@ class Metrics:
         Counters are written by **assignment**, so re-absorbing the
         same (or an updated) record replaces rather than accumulates —
         the health record itself stays the single source of truth for
-        failure totals, and pool-rebuild retries cannot double count
-        through this path.  Duck-typed so :mod:`repro.obs` keeps zero
+        failure totals, and retries cannot double count through this
+        path.  Duck-typed so :mod:`repro.obs` keeps zero
         package dependencies.
         """
         for category, count in health.failures.items():
             self.set_counter(f"{prefix}.failures.{category}", count)
         self.set_counter(f"{prefix}.n_failures", health.n_failures)
         self.set_counter(f"{prefix}.retries", health.retries)
-        self.set_counter(f"{prefix}.pool_rebuilds", health.pool_rebuilds)
         self.set_counter(f"{prefix}.engine_fallbacks",
                          health.engine_fallbacks)
-        self.set_counter(f"{prefix}.serial_fallback",
-                         int(health.serial_fallback))
         self.set_counter(f"{prefix}.checkpoints_written",
                          health.checkpoints_written)
 

@@ -15,11 +15,9 @@ Design constraints, in order:
 2. **Nesting is structural.**  Spans carry parent ids maintained on a
    per-thread stack, so the recorded buffer reconstructs the exact call
    tree (:meth:`Tracer.span_tree`) and a flamegraph-style aggregation
-   (:meth:`Tracer.format_spans`).
-3. **Worker merging.**  Process-pool workers trace into their own
-   buffer; :meth:`Tracer.drain` snapshots it for transport and
-   :meth:`Tracer.merge` folds it into the parent run's buffer with id
-   remapping (see :class:`repro.optimize.batching.PopulationEvaluator`).
+   (:meth:`Tracer.format_spans`).  Spans opened on a shard thread
+   of a population evaluation start a root of their own, because
+   each thread keeps its own stack.
 
 Tracing is opt-in: set ``REPRO_TRACE=1`` in the environment, construct
 ``Tracer(enabled=True)``, or call ``get_tracer().enable()``.
@@ -33,7 +31,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "TRACE_ENV",
@@ -63,7 +61,8 @@ class SpanRecord:
 
     ``start_s`` is a ``time.monotonic`` timestamp — differences are
     meaningful within one process, absolute values are not.  ``pid``
-    distinguishes worker-process spans after a merge.
+    names the recording process; archived multi-process traces carry
+    more than one.
     """
 
     span_id: int
@@ -222,37 +221,6 @@ class Tracer:
     def clear(self):
         with self._lock:
             self._records.clear()
-
-    def drain(self) -> List[SpanRecord]:
-        """Atomically take the buffer (used to ship worker spans home)."""
-        with self._lock:
-            records, self._records = self._records, []
-        return records
-
-    def merge(self, records: Sequence[SpanRecord],
-              parent_id: Optional[int] = None):
-        """Fold externally collected spans into this tracer's buffer.
-
-        Span ids are remapped so a worker's ids cannot collide with the
-        parent's; parentless spans in *records* are attached under
-        *parent_id* (``None`` keeps them as roots).
-        """
-        id_map: Dict[int, int] = {}
-        remapped = []
-        for record in records:
-            id_map[record.span_id] = self._new_id()
-        for record in records:
-            remapped.append(SpanRecord(
-                span_id=id_map[record.span_id],
-                parent_id=id_map.get(record.parent_id, parent_id),
-                name=record.name,
-                start_s=record.start_s,
-                duration_s=record.duration_s,
-                pid=record.pid,
-                meta=dict(record.meta),
-            ))
-        with self._lock:
-            self._records.extend(remapped)
 
     # -- reporting ----------------------------------------------------------
     def span_tree(self) -> List[Dict[str, object]]:

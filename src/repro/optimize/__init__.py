@@ -1,12 +1,10 @@
 """Optimization substrate: metaheuristics, extraction, goal attainment."""
 
 from repro.optimize.batching import (
-    BACKENDS,
     BatchShardExecutor,
     PopulationEvaluator,
     validate_workers,
 )
-from repro.optimize.fleet import FleetBroken, WorkerFleet
 from repro.optimize.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -81,11 +79,8 @@ from repro.optimize.pareto import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchShardExecutor",
-    "FleetBroken",
     "PopulationEvaluator",
-    "WorkerFleet",
     "validate_workers",
     "Checkpoint",
     "CheckpointError",

@@ -1,4 +1,4 @@
-"""Population evaluation strategies for the metaheuristic optimizers.
+"""Population evaluation for the metaheuristic optimizers.
 
 The optimizers in :mod:`repro.optimize.metaheuristics` accept an
 optional *batch objective* — one call mapping a ``(B, n)`` population
@@ -6,83 +6,41 @@ matrix to ``(B,)`` fitness values — so problems with a vectorized
 model (the compiled LNA engine, any NumPy-friendly test function) pay
 one solve per generation instead of one per candidate.
 
-:class:`PopulationEvaluator` packages the dispatch rules behind a
-``backend`` selector:
+:class:`PopulationEvaluator` has one path: a guarded call to
+``objective_batch``, or the guarded scalar loop when there is none.
+With ``workers > 1`` that path runs on row blocks across a thread pool
+(:class:`BatchShardExecutor`); the hot loop is numpy ``linalg.solve``,
+which releases the GIL, so the shards overlap with zero serialization.
 
-* ``"serial"`` — a plain Python loop, identical to what the optimizers
-  did before batching existed;
-* ``"batch"`` — one in-process call to ``objective_batch`` per
-  generation;
-* ``"thread"`` — ``objective_batch`` (or the scalar loop) sharded
-  across a ``ThreadPoolExecutor``; the hot loop is numpy
-  ``linalg.solve``, which releases the GIL, so the shards genuinely
-  overlap with **zero** serialization;
-* ``"fleet"`` — a persistent :class:`~repro.optimize.fleet.WorkerFleet`
-  of processes exchanging candidates and results through preallocated
-  shared-memory buffers (no per-call pickling — the objective ships
-  once at spawn);
-* ``"auto"`` — measure the first generation in-process and the second
-  on the parallel candidate (threads when a batch objective exists,
-  the fleet otherwise), then commit to whichever was faster — the
-  decision is benchmarked, not guessed, and journaled as
-  ``backend_decision``.
-
-``backend=None`` keeps the historical inference: an explicit
-``objective_batch`` wins; otherwise ``workers > 1`` selects the fleet
-(the successor of the old per-generation process pool); otherwise the
-serial loop.
-
-Every path is **fault-isolated**: a candidate whose evaluation raises,
-returns a non-finite value, or exceeds the per-generation timeout gets
-``+inf`` fitness and a :class:`~repro.optimize.faults.RunHealth`
-counter tick — never an exception out of the evaluator.  The fleet
-additionally degrades gracefully: a worker death abandons the partial
-generation and rebuilds the fleet (fresh processes *and* fresh
-shared-memory segments) with capped exponential backoff, and after
-``max_pool_rebuilds`` rebuilds the evaluator falls back to in-process
-evaluation permanently (recorded as ``health.serial_fallback``).
-Per-row results are bit-identical across all backends: the same
-float64 candidate rows meet the same objective code, whether in this
-process, a thread shard, or a fleet worker.
+Every path is **fault-isolated**: a candidate whose evaluation raises
+or returns a non-finite value gets ``+inf`` fitness and a
+:class:`~repro.optimize.faults.RunHealth` counter tick — never an
+exception out of the evaluator.  Per-row results are bit-identical
+with and without sharding: the same float64 candidate rows meet the
+same objective code, and shard-local health records merge in row
+order, so failure counts do not depend on thread scheduling either.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import journal as _obs_journal
 from repro.obs import metrics as _obs_metrics
 from repro.obs import tracer as _obs_tracer
 from repro.optimize.faults import (
-    BACKOFF_BASE,
-    BACKOFF_CAP,
     CATEGORY_NON_FINITE,
-    CATEGORY_TIMEOUT,
     RunHealth,
     guarded_call,
 )
-from repro.optimize.fleet import (
-    STATUS_PENDING,
-    FleetBroken,
-    WorkerFleet,
-    status_category,
-)
 
 __all__ = [
-    "BACKENDS",
     "BatchShardExecutor",
     "PopulationEvaluator",
     "validate_workers",
 ]
-
-#: Accepted values of ``PopulationEvaluator(backend=...)`` (besides
-#: ``None``, which keeps the historical inference).
-BACKENDS = ("serial", "batch", "thread", "fleet", "auto")
 
 
 def validate_workers(workers: Optional[int]) -> Optional[int]:
@@ -108,28 +66,16 @@ def validate_workers(workers: Optional[int]) -> Optional[int]:
     return int(workers)
 
 
-def default_workers() -> int:
-    """Worker count used when a parallel backend is asked for without
-    an explicit ``workers``: the CPUs this process may actually use."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 class BatchShardExecutor:
-    """Shard array-valued batch callables across a thread pool.
+    """Shard batch callables across a thread pool, in row order.
 
-    The multi-objective problems expose ``objectives_batch`` /
-    ``constraints_batch`` returning ``(B, k)`` matrices rather than the
-    ``(B,)`` vectors :class:`PopulationEvaluator` handles, so they get
-    their own thin sharding wrapper: :meth:`map_batch` splits the
-    population into per-worker row blocks, runs the callable on each
-    block concurrently, and stacks the results back **in row order** —
-    bit-identical to the unsharded call because every row meets the
-    same code on the same data.  Exceptions propagate unchanged so the
-    callers' existing batch→serial degradation still owns failure
-    handling.
+    :meth:`map_shards` splits the population into per-worker row
+    blocks, runs the callable on each block concurrently, and returns
+    the per-block results **in row order**; :meth:`map_batch` stacks
+    array results back into one — bit-identical to the unsharded call
+    because every row meets the same code on the same data.
+    Exceptions propagate unchanged so the callers' existing
+    batch→serial degradation still owns failure handling.
     """
 
     def __init__(self, workers: int):
@@ -151,19 +97,24 @@ class BatchShardExecutor:
             )
         return self._pool
 
-    def map_batch(self, fn: Callable[[np.ndarray], np.ndarray],
-                  population: np.ndarray) -> np.ndarray:
-        """``fn`` over row shards of *population*, restacked in order."""
+    def map_shards(self, fn: Callable[[np.ndarray], object],
+                   population: np.ndarray) -> List[object]:
+        """``fn`` over row shards of *population*, results in order."""
         population = np.asarray(population, dtype=float)
-        n = population.shape[0]
-        n_shards = min(self.workers, n)
+        n_shards = min(self.workers, population.shape[0])
         if n_shards <= 1:
-            return np.asarray(fn(population))
+            return [fn(population)]
         pool = self._ensure_pool()
         shards = np.array_split(population, n_shards, axis=0)
         futures = [pool.submit(fn, shard) for shard in shards]
-        parts = [np.asarray(future.result()) for future in futures]
-        return np.concatenate(parts, axis=0)
+        return [future.result() for future in futures]
+
+    def map_batch(self, fn: Callable[[np.ndarray], np.ndarray],
+                  population: np.ndarray) -> np.ndarray:
+        """``fn`` over row shards of *population*, restacked in order."""
+        parts = [np.asarray(part)
+                 for part in self.map_shards(fn, population)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def close(self) -> None:
         self._closed = True
@@ -182,42 +133,19 @@ class BatchShardExecutor:
 class PopulationEvaluator:
     """Maps a ``(B, n)`` population to ``(B,)`` objective values.
 
-    Use as a context manager (or call :meth:`close`) when a parallel
-    backend is in play, so worker processes/threads and shared-memory
-    segments are reclaimed deterministically; a ``__del__`` safety net
-    does the same if an optimizer dies mid-run without closing.  Both
-    paths are idempotent, survive a half-constructed instance, and
-    unlink every shared-memory segment, so killed runs leak nothing in
-    ``/dev/shm``.
-
     Parameters
     ----------
-    objective, objective_batch, workers, backend:
-        Dispatch inputs (see module docstring).  ``workers`` defaults
-        to the usable CPU count when a parallel backend is requested
-        without it.
-    objective_factory:
-        Optional zero-argument callable shipped to fleet workers in
-        place of the objective itself; each worker calls it **once** at
-        startup and it may return a scalar objective or an
-        ``(objective, objective_batch)`` pair.  Use it when the
-        objective wraps expensive state (a compiled template) that is
-        cheaper to rebuild in the worker than to serialize.
-    generation_timeout:
-        Wall-clock budget in seconds for one population evaluation on
-        the fleet path.  Candidates still pending at the deadline are
-        scored ``+inf`` (category ``"timeout"``) and the fleet is
-        rebuilt with fresh segments, abandoning the hung workers.
-    max_pool_rebuilds:
-        Fleet rebuilds (after a worker death or a timeout) before the
-        evaluator gives up on multiprocessing and runs in-process for
-        the rest of the run.
-    backoff_base, backoff_cap:
-        Exponential backoff (seconds) between fleet rebuilds:
-        ``min(cap, base * 2**k)`` after the k-th rebuild.
-    fleet_capacity:
-        Initial row capacity of the fleet's shared buffers (grown
-        automatically when a larger population arrives).
+    objective:
+        Scalar objective; the fallback for rows of a failed batch call
+        and the whole path when there is no ``objective_batch``.
+    objective_batch:
+        Optional ``(B, n) -> (B,)`` vectorized objective.
+    workers:
+        ``None`` or ``1`` evaluates in the calling thread; ``> 1``
+        splits each population into that many row blocks evaluated on
+        a thread pool.  Use the evaluator as a context manager (or
+        call :meth:`close`) to release the threads; a closed evaluator
+        keeps answering in the calling thread.
     health:
         Shared :class:`RunHealth` to record failures into; a private
         one is created when not given (exposed as ``.health``).
@@ -226,150 +154,37 @@ class PopulationEvaluator:
     def __init__(self, objective: Callable[[np.ndarray], float],
                  objective_batch: Optional[Callable] = None,
                  workers: Optional[int] = None,
-                 generation_timeout: Optional[float] = None,
-                 max_pool_rebuilds: int = 3,
-                 backoff_base: float = BACKOFF_BASE,
-                 backoff_cap: float = BACKOFF_CAP,
-                 health: Optional[RunHealth] = None,
-                 backend: Optional[str] = None,
-                 objective_factory: Optional[Callable] = None,
-                 fleet_capacity: int = 256):
+                 health: Optional[RunHealth] = None):
         workers = validate_workers(workers)
-        if generation_timeout is not None and generation_timeout <= 0:
-            raise ValueError(
-                f"generation_timeout must be positive, "
-                f"got {generation_timeout}"
-            )
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS} or None, "
-                f"got {backend!r}"
-            )
-        if backend == "batch" and objective_batch is None:
-            raise ValueError('backend="batch" requires objective_batch')
         self._objective = objective
         self._batch = objective_batch
-        self._objective_factory = objective_factory
-        if workers is None and backend in ("thread", "fleet", "auto"):
-            workers = default_workers()
-        self._workers = workers
-        self.generation_timeout = generation_timeout
-        self.max_pool_rebuilds = int(max_pool_rebuilds)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.health = health if health is not None else RunHealth()
-        self.fleet_capacity = int(fleet_capacity)
-        self.requested_backend = backend
-        self._fleet: Optional[WorkerFleet] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._fleet_abandoned = False
-        self._auto_samples: List[Tuple[str, float]] = []
-        self._closed = False
-        self.backend = self._resolve_backend(backend)
+        self._shards = (BatchShardExecutor(workers)
+                        if workers is not None and workers > 1 else None)
 
-    def _resolve_backend(self, backend: Optional[str]) -> str:
-        if backend is None:
-            # Historical inference: batch wins; otherwise workers > 1
-            # means the (now fleet-backed) process path; else serial.
-            if self._batch is not None:
-                return "batch"
-            if self._workers is not None and self._workers > 1:
-                return "fleet"
-            return "serial"
-        if backend in ("thread", "fleet", "auto") and self._workers == 1:
-            # One worker cannot overlap anything; stay in-process.
-            return "batch" if self._batch is not None else "serial"
-        return backend
-
-    # -- dispatch -----------------------------------------------------------
     def __call__(self, population: np.ndarray) -> np.ndarray:
         population = np.atleast_2d(np.asarray(population, dtype=float))
-        mode = self._current_mode()
         with _obs_tracer.span("batching.generation",
-                              batch=population.shape[0], mode=mode):
-            start = time.perf_counter()
-            values = self._dispatch(mode, population)
-            elapsed = time.perf_counter() - start
-        if self.backend == "auto":
-            self._auto_step(mode, population.shape[0], elapsed)
+                              batch=population.shape[0]):
+            if self._shards is None:
+                parts = [self._guarded(population)]
+            else:
+                parts = self._shards.map_shards(self._guarded, population)
+        # Shard-local health merges in row order, so counter totals
+        # are independent of thread scheduling.
+        for _, shard_health in parts:
+            self.health.merge(shard_health)
         _obs_metrics.inc("batching.generations")
-        _obs_metrics.inc(f"batching.generations_{mode}")
-        return values
+        if len(parts) == 1:
+            return parts[0][0]
+        return np.concatenate([values for values, _ in parts])
 
-    def _current_mode(self) -> str:
-        """The concrete path the next generation will take."""
-        backend = self.backend
-        if self._closed and backend in ("thread", "fleet", "auto"):
-            # A closed evaluator must not respawn workers; it keeps
-            # answering (the old pool path did too), just in-process.
-            return self._inprocess_mode()
-        if backend == "auto":
-            # Probe in-process first, the parallel candidate second.
-            if not self._auto_samples:
-                return self._inprocess_mode()
-            return self._parallel_candidate()
-        if backend == "fleet" and self._fleet_abandoned:
-            return self._inprocess_mode()
-        return backend
-
-    def _inprocess_mode(self) -> str:
-        return "batch" if self._batch is not None else "serial"
-
-    def _parallel_candidate(self) -> str:
-        # Threads only overlap when the batch objective does real
-        # numpy work that releases the GIL; a scalar-only objective
-        # needs real processes.
-        return "thread" if self._batch is not None else "fleet"
-
-    def _dispatch(self, mode: str, population: np.ndarray) -> np.ndarray:
-        if mode == "batch":
-            return self._batch_eval(population)
-        if mode == "thread":
-            return self._thread_eval(population)
-        if mode == "fleet":
-            return self._fleet_eval(population)
-        return self._serial_eval(population)
-
-    def _auto_step(self, mode: str, n_rows: int, elapsed: float) -> None:
-        """Commit ``backend="auto"`` after one timed generation each way."""
-        rate = n_rows / elapsed if elapsed > 0 else float("inf")
-        self._auto_samples.append((mode, rate))
-        if len(self._auto_samples) < 2:
-            return
-        (mode_a, rate_a), (mode_b, rate_b) = self._auto_samples[:2]
-        chosen = mode_a if rate_a >= rate_b else mode_b
-        self.backend = chosen
-        _obs_journal.emit(
-            "backend_decision",
-            chosen=chosen,
-            candidates={mode_a: float(rate_a), mode_b: float(rate_b)},
-            workers=self._workers,
-        )
-        if chosen != "fleet" and self._fleet is not None:
-            self._discard_fleet()
-
-    # -- in-process paths ---------------------------------------------------
-    def _serial_eval(self, population: np.ndarray) -> np.ndarray:
-        return np.array(
-            [guarded_call(self._objective, x, self.health)
-             for x in population],
-            dtype=float,
-        )
-
-    def _batch_eval(self, population: np.ndarray) -> np.ndarray:
-        values, health = self._guarded_batch(population)
-        self.health.merge(health)
-        return values
-
-    def _guarded_batch(self, population: np.ndarray
-                       ) -> Tuple[np.ndarray, RunHealth]:
-        """One fault-isolated batch call, failures in a local record.
-
-        Shared by the in-process batch path and every thread shard, so
-        a sharded generation counts failures exactly like an unsharded
-        one — the local records merge in shard order afterwards.
-        """
+    def _guarded(self, population: np.ndarray
+                 ) -> Tuple[np.ndarray, RunHealth]:
+        """One fault-isolated evaluation, failures in a local record."""
         local = RunHealth()
+        if self._batch is None:
+            return self._guarded_rows(population, local), local
         n = population.shape[0]
         try:
             values = np.asarray(self._batch(population),
@@ -378,12 +193,7 @@ class PopulationEvaluator:
             # The serial re-evaluation records the per-candidate
             # failures, so the batch-level error only counts as a retry.
             local.retries += 1
-            values = np.array(
-                [guarded_call(self._objective, x, local)
-                 for x in population],
-                dtype=float,
-            )
-            return values, local
+            return self._guarded_rows(population, local), local
         if values.shape[0] != n:
             raise ValueError(
                 f"objective_batch returned {values.shape[0]} values "
@@ -395,174 +205,19 @@ class PopulationEvaluator:
             values = np.where(bad, np.inf, values)
         return values, local
 
-    # -- thread-parallel path -----------------------------------------------
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._workers,
-                thread_name_prefix="repro-eval",
-            )
-        return self._thread_pool
-
-    def _thread_eval(self, population: np.ndarray) -> np.ndarray:
-        n = population.shape[0]
-        n_shards = min(self._workers or 1, n)
-        if n_shards <= 1:
-            return (self._batch_eval(population)
-                    if self._batch is not None
-                    else self._serial_eval(population))
-        pool = self._ensure_thread_pool()
-        shards = np.array_split(population, n_shards, axis=0)
-        if self._batch is not None:
-            futures = [pool.submit(self._guarded_batch, shard)
-                       for shard in shards]
-        else:
-            futures = [pool.submit(self._guarded_rows, shard)
-                       for shard in shards]
-        parts: List[np.ndarray] = []
-        # Merge shard-local health in shard (row) order so counter
-        # totals are independent of thread scheduling.
-        for future in futures:
-            values, shard_health = future.result()
-            parts.append(values)
-            self.health.merge(shard_health)
-        return np.concatenate(parts)
-
-    def _guarded_rows(self, population: np.ndarray
-                      ) -> Tuple[np.ndarray, RunHealth]:
-        local = RunHealth()
-        values = np.array(
-            [guarded_call(self._objective, x, local) for x in population],
+    def _guarded_rows(self, population: np.ndarray,
+                      health: RunHealth) -> np.ndarray:
+        return np.array(
+            [guarded_call(self._objective, x, health) for x in population],
             dtype=float,
         )
-        return values, local
 
-    # -- shared-memory fleet path -------------------------------------------
-    def _ensure_fleet(self) -> WorkerFleet:
-        if self._fleet is None:
-            self._fleet = WorkerFleet(
-                objective=self._objective,
-                objective_batch=self._batch,
-                objective_factory=self._objective_factory,
-                workers=self._workers or default_workers(),
-                capacity=self.fleet_capacity,
-            )
-        return self._fleet
-
-    def _fleet_eval(self, population: np.ndarray) -> np.ndarray:
-        while not self._fleet_abandoned:
-            try:
-                return self._fleet_eval_once(population)
-            except FleetBroken:
-                # The partial generation is discarded (its failures
-                # were never merged); retry whole on a fresh fleet.
-                self._discard_fleet()
-                if self.health.pool_rebuilds >= self.max_pool_rebuilds:
-                    self._abandon_fleet()
-                    break
-                self._rebuild_backoff()
-        # Permanent (or configured-off) in-process fallback.
-        return (self._batch_eval(population) if self._batch is not None
-                else self._serial_eval(population))
-
-    def _fleet_eval_once(self, population: np.ndarray) -> np.ndarray:
-        fleet = self._ensure_fleet()
-        tracer = _obs_tracer.get_tracer()
-        result = fleet.evaluate(
-            population,
-            timeout=self.generation_timeout,
-            tracing=tracer.enabled,
-        )
-        # Per-row failures arrive as status-lane codes and fold into a
-        # generation-local record first: a FleetBroken above abandons
-        # the whole generation before anything is merged, so a rebuilt
-        # re-run cannot double-count (same rule the old pool path had).
-        generation_health = RunHealth()
-        for code in result.statuses[result.statuses > 0]:
-            generation_health.record(status_category(int(code)))
-        n_pending = int(np.sum(result.statuses == STATUS_PENDING))
-        if n_pending:
-            generation_health.record(CATEGORY_TIMEOUT, n_pending)
-        generation_health.retries += result.retries
-        if result.spans:
-            stack = tracer._stack()
-            tracer.merge(result.spans,
-                         parent_id=stack[-1] if stack else None)
-        for name, value in result.counters.items():
-            _obs_metrics.inc(name, value)
-        self.health.merge(generation_health)
-        if result.timed_out:
-            _obs_journal.emit(
-                "generation_timeout",
-                n_timeouts=n_pending,
-                batch=int(population.shape[0]),
-            )
-            # Hung workers poison every later generation — and might
-            # still write into reused buffers — so the whole fleet,
-            # segments included, is swapped out.
-            self._discard_fleet()
-            if self.health.pool_rebuilds >= self.max_pool_rebuilds:
-                self._abandon_fleet()
-            else:
-                self._rebuild_backoff()
-        return result.values
-
-    def _rebuild_backoff(self) -> None:
-        """Count a rebuild and back off; the next use spawns fresh."""
-        delay = min(self.backoff_cap,
-                    self.backoff_base * 2.0 ** self.health.pool_rebuilds)
-        self.health.pool_rebuilds += 1
-        self.health.retries += 1
-        _obs_journal.emit("pool_rebuild",
-                          rebuilds=self.health.pool_rebuilds,
-                          delay_s=float(delay))
-        if delay > 0:
-            time.sleep(delay)
-
-    def _discard_fleet(self) -> None:
-        fleet, self._fleet = self._fleet, None
-        if fleet is not None:
-            # Short join: dead workers don't answer and hung ones get
-            # terminated; close() always unlinks the segments.
-            fleet.close(join_timeout=0.2)
-
-    def _abandon_fleet(self) -> None:
-        self._discard_fleet()
-        self._fleet_abandoned = True
-        self.health.serial_fallback = True
-        _obs_journal.emit("serial_fallback",
-                          pool_rebuilds=self.health.pool_rebuilds)
-
-    # -- lifecycle ----------------------------------------------------------
-    def close(self):
-        """Release workers, threads, and shared memory.  Idempotent and
-        exception-safe — callable on a half-constructed instance and
-        during interpreter shutdown."""
-        if getattr(self, "_closed", False):
-            return
-        self._closed = True
-        fleet = getattr(self, "_fleet", None)
-        self._fleet = None
-        if fleet is not None:
-            try:
-                fleet.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        pool = getattr(self, "_thread_pool", None)
-        self._thread_pool = None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-
-    def __del__(self):
-        # Safety net for optimizers that die mid-run; must never raise,
-        # even when __init__ failed before attributes existed.
-        try:
-            self.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+    def close(self) -> None:
+        """Release the shard threads.  Idempotent; later calls run in
+        the calling thread."""
+        shards, self._shards = self._shards, None
+        if shards is not None:
+            shards.close()
 
     def __enter__(self) -> "PopulationEvaluator":
         return self

@@ -11,13 +11,13 @@ This module is the shared vocabulary of that contract:
 * :class:`EvaluationFailure` — the structured record one failed
   candidate evaluation produces (category, message, design vector);
 * :class:`RunHealth` — per-run counters (failures by category, retries,
-  pool rebuilds, engine fallbacks) surfaced on every optimizer result
+  engine fallbacks) surfaced on every optimizer result
   and rendered by :func:`repro.core.report.format_run_health`;
 * :func:`classify_exception` / :func:`guarded_call` — the one place
   that decides which exceptions are *evaluation* failures (absorbed)
   versus programming errors (propagated);
 * :class:`FaultInjector` — a seeded test harness that makes any
-  objective raise, hang, or return NaN with set probabilities, used by
+  objective raise or return NaN with set probabilities, used by
   the fault-tolerance test suite to verify the absorption guarantees.
 """
 
@@ -65,16 +65,16 @@ CATEGORY_DC = "dc_convergence"
 CATEGORY_SINGULAR = "singular"
 CATEGORY_NON_FINITE = "non_finite"
 CATEGORY_EXCEPTION = "exception"
-CATEGORY_TIMEOUT = "timeout"
 CATEGORY_BAD_BIAS = "bad_bias"
 CATEGORY_CONTRACT = "contract"
 
 #: Exponential-backoff schedule shared by every transient-retry loop in
-#: the runtime: worker-pool rebuilds
-#: (:class:`repro.optimize.batching.PopulationEvaluator`) and checkpoint
-#: file I/O (:class:`repro.optimize.checkpoint.FileCheckpointStore`)
-#: both wait ``min(BACKOFF_CAP, BACKOFF_BASE * 2**k)`` seconds before
-#: attempt ``k + 1``.
+#: the runtime — checkpoint file I/O
+#: (:class:`repro.optimize.checkpoint.FileCheckpointStore`) and the job
+#: queue's record I/O and retry gate
+#: (:class:`repro.service.queue.JobQueue`): wait
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**k)`` seconds before attempt
+#: ``k + 1``.
 BACKOFF_BASE = 0.1
 BACKOFF_CAP = 2.0
 
@@ -190,9 +190,7 @@ class RunHealth:
 
     failures: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
-    pool_rebuilds: int = 0
     engine_fallbacks: int = 0
-    serial_fallback: bool = False
     checkpoints_written: int = 0
     resumed_at: Optional[int] = None
 
@@ -213,9 +211,7 @@ class RunHealth:
         flat.update(
             n_failures=self.n_failures,
             retries=self.retries,
-            pool_rebuilds=self.pool_rebuilds,
             engine_fallbacks=self.engine_fallbacks,
-            serial_fallback=self.serial_fallback,
             checkpoints_written=self.checkpoints_written,
         )
         return flat
@@ -225,9 +221,7 @@ class RunHealth:
         for category, count in other.failures.items():
             self.record(category, count)
         self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
         self.engine_fallbacks += other.engine_fallbacks
-        self.serial_fallback = self.serial_fallback or other.serial_fallback
         self.checkpoints_written += other.checkpoints_written
 
     # -- checkpoint support -------------------------------------------------
@@ -236,19 +230,20 @@ class RunHealth:
         return {
             "failures": dict(self.failures),
             "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
             "engine_fallbacks": self.engine_fallbacks,
-            "serial_fallback": self.serial_fallback,
             "checkpoints_written": self.checkpoints_written,
         }
 
     def restore(self, state: Dict[str, object]):
-        """Load a snapshot produced by :meth:`state`."""
+        """Load a snapshot produced by :meth:`state`.
+
+        Snapshots from older checkpoints may also carry
+        ``pool_rebuilds`` and ``serial_fallback``; those keys are
+        ignored.
+        """
         self.failures = dict(state["failures"])
         self.retries = int(state["retries"])
-        self.pool_rebuilds = int(state["pool_rebuilds"])
         self.engine_fallbacks = int(state["engine_fallbacks"])
-        self.serial_fallback = bool(state["serial_fallback"])
         self.checkpoints_written = int(state["checkpoints_written"])
 
 
@@ -279,62 +274,37 @@ class FaultInjector:
 
     Test harness for the fault-tolerant runtime: each call draws one
     uniform variate and either raises :class:`InjectedFault`
-    (probability ``p_raise``), returns ``nan_value`` (``p_nan``),
-    sleeps for ``hang_seconds`` before answering (``p_hang``), kills
-    the hosting *worker process* outright (``p_exit``), or delegates to
-    the wrapped objective.  Injection counts are kept per kind so tests
-    can assert that an optimizer's :class:`RunHealth` counters match
-    exactly what was injected.
-
-    The ``p_exit`` band simulates a worker crash — segfault, OOM kill —
-    for the shared-memory evaluator fleet: it calls ``os._exit`` so no
-    ``finally``/``atexit`` cleanup runs, exactly like a real crash.  It
-    only fires inside a :mod:`multiprocessing` child
-    (``multiprocessing.parent_process() is not None``); in the parent —
-    i.e. on the serial-fallback rerun — the band is inert and the call
-    delegates to the objective, so a crashing run's fallback results
-    are bit-identical to a run that never crashed.  The RNG draw
-    happens in whichever process makes the call, and a fleet worker
-    operates on a forked *copy* of the injector, so the parent's RNG
-    stream is never advanced by child-side draws.
+    (probability ``p_raise``), returns ``nan_value`` (``p_nan``), or
+    delegates to the wrapped objective.  Injection counts are kept per
+    kind so tests can assert that an optimizer's :class:`RunHealth`
+    counters match exactly what was injected.  The RNG stream is
+    consumed in call order, so wrap the objective of an in-order
+    (unsharded) evaluation when fault placement must be reproducible.
     """
 
     def __init__(self, objective: Callable[[np.ndarray], float],
                  p_raise: float = 0.0, p_nan: float = 0.0,
-                 p_hang: float = 0.0, p_exit: float = 0.0,
-                 hang_seconds: float = 60.0,
-                 exit_code: int = 23,
                  nan_value=float("nan"), seed: Optional[int] = 0):
-        for name, p in (("p_raise", p_raise), ("p_nan", p_nan),
-                        ("p_hang", p_hang), ("p_exit", p_exit)):
+        for name, p in (("p_raise", p_raise), ("p_nan", p_nan)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if p_raise + p_nan + p_hang + p_exit > 1.0:
+        if p_raise + p_nan > 1.0:
             raise ValueError("injection probabilities must sum to <= 1")
         self._objective = objective
         self.p_raise = float(p_raise)
         self.p_nan = float(p_nan)
-        self.p_hang = float(p_hang)
-        self.p_exit = float(p_exit)
-        self.hang_seconds = float(hang_seconds)
-        self.exit_code = int(exit_code)
         self.nan_value = nan_value
         self._rng = np.random.default_rng(seed)
         self.n_calls = 0
         self.n_raised = 0
         self.n_nan = 0
-        self.n_hung = 0
-        self.n_exits = 0
 
     @property
     def n_injected(self) -> int:
         """Total injected faults of any kind."""
-        return self.n_raised + self.n_nan + self.n_hung + self.n_exits
+        return self.n_raised + self.n_nan
 
     def __call__(self, x):
-        import multiprocessing as _mp
-        import os as _os
-
         self.n_calls += 1
         u = float(self._rng.random())
         if u < self.p_raise:
@@ -345,14 +315,4 @@ class FaultInjector:
         if u < self.p_raise + self.p_nan:
             self.n_nan += 1
             return self.nan_value
-        if u < self.p_raise + self.p_nan + self.p_hang:
-            self.n_hung += 1
-            time.sleep(self.hang_seconds)
-            return self._objective(x)
-        if u < self.p_raise + self.p_nan + self.p_hang + self.p_exit:
-            if _mp.parent_process() is not None:
-                self.n_exits += 1
-                _os._exit(self.exit_code)
-            # In the parent the kill band is inert: the serial
-            # fallback rerun must produce the clean-run values.
         return self._objective(x)

@@ -16,7 +16,7 @@ count function evaluations honestly (the experiment tables report
 ``nfev``).
 
 The runtime is **fault tolerant**: a candidate whose evaluation
-raises, hangs past the pool timeout, or returns a non-finite value is
+raises or returns a non-finite value is
 scored ``+inf`` (never selected as best, never poisoning ``argmin``)
 and counted on ``result.health`` — the run itself cannot be aborted by
 a bad candidate.  DE and PSO additionally support deterministic
@@ -217,8 +217,6 @@ def differential_evolution(
     initial_population: Optional[np.ndarray] = None,
     objective_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    generation_timeout: Optional[float] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
     checkpoint_every: int = 10,
     resume: bool = True,
@@ -233,11 +231,10 @@ def differential_evolution(
     still overwrites row 0 afterwards, and the completed run journals
     its own ``final_population`` event for the next warm start.
 
-    When ``objective_batch`` (a ``(B, n) -> (B,)`` map), ``workers``,
-    or ``backend`` is given, each generation's trial vectors are built
-    first and evaluated in one population-level call — in-process,
-    across thread shards, or on the shared-memory worker fleet
-    depending on ``backend`` (see
+    When ``objective_batch`` (a ``(B, n) -> (B,)`` map) or ``workers``
+    is given, each generation's trial vectors are built first and
+    evaluated in one population-level call — in-process, or across
+    ``workers`` thread shards (see
     :class:`~repro.optimize.batching.PopulationEvaluator`).  This is
     the classic
     *generational* DE variant: donors are drawn from the start-of-
@@ -264,13 +261,9 @@ def differential_evolution(
     pop_size = max(int(population_size), 4)
     health = RunHealth()
     evaluator = None
-    if (objective_batch is not None or workers is not None
-            or backend is not None):
+    if objective_batch is not None or workers is not None:
         evaluator = PopulationEvaluator(
-            objective, objective_batch, workers,
-            generation_timeout=generation_timeout, health=health,
-            backend=backend,
-        )
+            objective, objective_batch, workers, health=health)
 
     try:
         checkpoint = (resume_or_none(checkpoint_store,
@@ -416,8 +409,6 @@ def particle_swarm(
     initial_population: Optional[np.ndarray] = None,
     objective_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    generation_timeout: Optional[float] = None,
     checkpoint_store: Optional[CheckpointStore] = None,
     checkpoint_every: int = 10,
     resume: bool = True,
@@ -430,11 +421,10 @@ def particle_swarm(
     LHS positions (velocities stay randomly drawn), and the finished
     run journals its personal-best set as a ``final_population`` event.
 
-    When ``objective_batch``, ``workers``, or ``backend`` is given,
-    each iteration's particle positions are evaluated in one
+    When ``objective_batch`` or ``workers`` is given, each
+    iteration's particle positions are evaluated in one
     population-level call (see
-    :class:`~repro.optimize.batching.PopulationEvaluator` for the
-    backend choices).
+    :class:`~repro.optimize.batching.PopulationEvaluator`).
     Unlike DE, this is *exactly* trajectory-preserving: all positions
     of an iteration are fixed before any evaluation, and the
     personal/global-best updates consume the values in the same order
@@ -451,13 +441,9 @@ def particle_swarm(
     v_max = 0.5 * span
     health = RunHealth()
     evaluator = None
-    if (objective_batch is not None or workers is not None
-            or backend is not None):
+    if objective_batch is not None or workers is not None:
         evaluator = PopulationEvaluator(
-            objective, objective_batch, workers,
-            generation_timeout=generation_timeout, health=health,
-            backend=backend,
-        )
+            objective, objective_batch, workers, health=health)
 
     try:
         checkpoint = (resume_or_none(checkpoint_store, "particle_swarm")

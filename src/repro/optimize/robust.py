@@ -27,13 +27,12 @@ first-class optimization objectives:
   generation: only the most promising ``screen_fraction`` of
   candidates pays for a full corner sweep, the rest carry clipped
   surrogate predictions.  Every screen decision is journaled as a
-  ``screen_decision`` event (the sibling of ``backend_decision``).
+  ``screen_decision`` event.
 * :func:`build_robust_problem` — the three-objective
   ``(NFworst, -GTworst, -yield)`` problem for NSGA-II / goal
   attainment, with the nominal design constraints intact; and
   :class:`RobustScalarObjective` — a picklable robust scalarization
-  for DE / PSO / the fleet workers / the ``robust.optimize`` service
-  job.
+  for DE / PSO and the ``robust.optimize`` service job.
 * :class:`RobustStateSink` — an ``on_generation`` wrapper that rides
   the corner RNG + surrogate state inside optimizer checkpoints (the
   telemetry slot), so a SIGKILLed robust run resumes bit-for-bit.
@@ -751,7 +750,7 @@ def build_robust_problem(template: AmplifierTemplate,
 
 
 class RobustScalarObjective:
-    """Picklable robust scalarization for DE / PSO / fleet workers.
+    """Picklable robust scalarization for DE / PSO.
 
     Wraps a :class:`RobustEvaluator` behind the lazy-compile factory
     pattern (the evaluator rebuilds deterministically from the

@@ -13,8 +13,8 @@ The layers, bottom to top:
   cancellation, deadline enforcement, and checkpoint-per-generation
   durability (takeovers resume bit-identically).
 * :mod:`repro.service.supervisor` — :class:`JobService`, the runner
-  slots plus the recovery sweep (expired-lease takeover, dead-owner
-  shm reaping) and graceful drain.
+  slots plus the recovery sweep (expired-lease takeover) and graceful
+  drain.
 * :mod:`repro.service.api` — :class:`ServiceClient`, the
   submit / poll / fetch surface over a service root directory.
 """

@@ -94,8 +94,8 @@ class JobSpec:
         Optimizer entry point, its size knobs
         (``population_size`` / ``max_iterations``), extra keyword
         arguments passed through verbatim, and the run seed.
-    workers, backend, generation_timeout:
-        Parallel-evaluation knobs threaded into the optimizer (see
+    workers:
+        Thread shards per population evaluation (see
         :class:`repro.optimize.batching.PopulationEvaluator`).
     checkpoint_every:
         Generations between durable checkpoints.  The default ``1``
@@ -109,11 +109,6 @@ class JobSpec:
         Transient-failure retries before the job fails terminally.
         Lease-expiry takeovers are *not* retries — a crashed runner
         never burns the client's retry budget.
-    fault_injection:
-        Test-harness knob: constructor kwargs for
-        :class:`repro.optimize.faults.FaultInjector` wrapped around the
-        scalar objective (the chaos soak submits ``{"p_exit": ...}``
-        jobs).  ``None`` in production.
     experiment, experiment_kwargs:
         Driver name and its ``run()`` keyword arguments, for
         ``kind="experiment"``.
@@ -127,12 +122,9 @@ class JobSpec:
     options: Dict[str, object] = field(default_factory=dict)
     seed: Optional[int] = 0
     workers: Optional[int] = None
-    backend: Optional[str] = None
-    generation_timeout: Optional[float] = None
     checkpoint_every: int = 1
     deadline_s: Optional[float] = None
     max_retries: int = 2
-    fault_injection: Optional[Dict[str, object]] = None
     experiment: Optional[str] = None
     experiment_kwargs: Dict[str, object] = field(default_factory=dict)
 
@@ -162,6 +154,9 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+        # Unknown keys are dropped, so records queued with fields this
+        # version no longer has (``backend``, ``generation_timeout``,
+        # ``fault_injection``) still load.
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -318,9 +313,8 @@ def _build_robust_optimize(params: dict) -> dict:
     Builds a :class:`repro.optimize.robust.RobustScalarObjective` —
     worst-case NF over a tolerance corner set plus a yield-shortfall
     penalty — against the reference device.  The evaluator compiles
-    lazily inside whichever process leases the job (and inside each
-    fleet worker via the picklable factory), and the corner set is a
-    pure function of the params, so a lease takeover resumes
+    lazily inside whichever process leases the job, and the corner set
+    is a pure function of the params, so a lease takeover resumes
     bit-identical evaluations.
     """
     from repro.core.amplifier import DesignVariables
@@ -344,26 +338,41 @@ def _build_robust_optimize(params: dict) -> dict:
     }
 
 
+#: ``(B,)`` figures of merit the ``lna.metric`` objective can optimize.
+_LNA_METRICS = ("nf_max_db", "gt_min_db", "gt_ripple_db", "mu_min", "ids")
+
+
 @register_objective("lna.metric")
 def _build_lna_metric(params: dict) -> dict:
     """The paper's LNA, optimizing one compiled figure of merit.
 
     Compiles the reference-device amplifier template inside the runner
-    (and again inside each fleet worker via the picklable factory) —
-    the same deterministic inputs yield the same stamp plan, so every
-    evaluation is bit-identical to an in-client compile.
+    — the same deterministic inputs yield the same stamp plan, so every
+    evaluation is bit-identical to an in-client compile.  ``metric``
+    names one of the :class:`~repro.core.engine.BatchPerformance`
+    fields in ``_LNA_METRICS``.
     """
     from dataclasses import fields as dc_fields
 
     from repro.core.amplifier import AmplifierTemplate, DesignVariables
-    from repro.core.engine import CompiledMetricObjective
+    from repro.core.engine import CompiledTemplate
     from repro.experiments.common import reference_device
 
     metric = str(params.get("metric", "nf_max_db"))
+    if metric not in _LNA_METRICS:
+        raise ValueError(
+            f"metric must be one of {_LNA_METRICS}, got {metric!r}")
     sign = float(params.get("sign", 1.0))
-    template = AmplifierTemplate(reference_device().small_signal)
-    factory = CompiledMetricObjective(template, metric=metric, sign=sign)
-    objective, objective_batch = factory()
+    engine = CompiledTemplate(
+        AmplifierTemplate(reference_device().small_signal), verify=False)
+
+    def objective_batch(unit_pop: np.ndarray) -> np.ndarray:
+        batch = engine.performance_batch(unit_pop)
+        return sign * np.asarray(getattr(batch, metric), dtype=float)
+
+    def objective(unit_x: np.ndarray) -> float:
+        return float(objective_batch(np.atleast_2d(unit_x))[0])
+
     dim = len(dc_fields(DesignVariables))
     return {
         "objective": objective,

@@ -487,11 +487,18 @@ class JobQueue:
 
     # -- inspection --------------------------------------------------------------
     def load(self, job_id: str) -> JobRecord:
-        """The job's current record; terminal states take precedence."""
-        for state in _LOOKUP_ORDER:
-            record = self._read_record(self._path(state, job_id))
-            if record is not None:
-                return record
+        """The job's current record; terminal states take precedence.
+
+        The state directories are read one after another, so a job
+        that moves between two reads (pending→leased, leased→done) can
+        be missed by one scan.  A miss therefore scans again, and only
+        two empty scans in a row mean the job does not exist.
+        """
+        for _ in range(2):
+            for state in _LOOKUP_ORDER:
+                record = self._read_record(self._path(state, job_id))
+                if record is not None:
+                    return record
         raise JobNotFound(job_id)
 
     def state_of(self, job_id: str) -> str:

@@ -27,8 +27,7 @@ The contract that makes lease takeover loss-free:
 * ``result.json`` is written with sorted keys and split into a
   ``"result"`` subtree (the deterministic payload — bit-identical
   between an interrupted-and-recovered run and an uninterrupted one)
-  and a ``"health"`` subtree (retry/rebuild counters, which a crashy
-  run legitimately accumulates more of).
+  and a ``"health"`` subtree (failure and retry counters).
 
 Experiment jobs (``kind="experiment"``) run a whole driver's ``run()``
 instead; they are coarse-grained and restart from scratch on retry —
@@ -46,7 +45,6 @@ from typing import Callable, Dict, Optional
 
 from repro.obs.journal import RunJournal, set_thread_journal
 from repro.obs.runs import RunRegistry
-from repro.optimize.faults import FaultInjector
 from repro.service.jobs import JobRecord, build_objective
 from repro.service.queue import JobQueue, LeaseLost
 
@@ -257,15 +255,6 @@ class JobRunner:
 
         spec = record.spec
         problem = build_objective(spec.objective, spec.objective_params)
-        objective = problem["objective"]
-        objective_batch = problem["objective_batch"]
-        if spec.fault_injection:
-            # The chaos harness: injected faults wrap the scalar path
-            # only (the injector draws one RNG variate per call), so
-            # the batch shortcut is disabled to keep injection honest.
-            objective = FaultInjector(objective, **dict(spec.fault_injection))
-            objective_batch = None
-
         sink = _SupervisedSink(
             journal,
             lambda generation=None: self._control_check(record, generation))
@@ -273,10 +262,8 @@ class JobRunner:
         common = dict(
             max_iterations=int(budget.get("max_iterations", 50)),
             seed=spec.seed,
-            objective_batch=objective_batch,
+            objective_batch=problem["objective_batch"],
             workers=spec.workers,
-            backend=spec.backend,
-            generation_timeout=spec.generation_timeout,
             checkpoint_store=run.checkpoint_store(),
             checkpoint_every=spec.checkpoint_every,
             resume=True,
@@ -286,11 +273,11 @@ class JobRunner:
         size = int(budget.get("population_size", 20))
         if spec.algorithm == "particle_swarm":
             result = mh.particle_swarm(
-                objective, problem["lower"], problem["upper"],
+                problem["objective"], problem["lower"], problem["upper"],
                 n_particles=size, **common)
         else:
             result = mh.differential_evolution(
-                objective, problem["lower"], problem["upper"],
+                problem["objective"], problem["lower"], problem["upper"],
                 population_size=size, **common)
 
         payload = {

@@ -10,10 +10,8 @@ owns:
   for its lease to expire loses the job to recovery and aborts with
   :class:`~repro.service.queue.LeaseLost` before touching shared state.
 * **The recovery sweep** — a supervisor thread that periodically
-  re-queues expired leases (crash takeover), reaps shared-memory
-  segments whose owning process is dead (the fleet janitor — a
-  SIGKILLed service cannot unlink its own ``/dev/shm`` segments, so the
-  next service does it), and exports queue depths as gauges.
+  re-queues expired leases (crash takeover) and exports queue depths
+  as gauges.
 * **Graceful drain** — :meth:`stop` flips the drain flag; each slot
   finishes its current *generation*, releases the job back to pending
   with its checkpoint durable (attempt counter untouched), and exits.
@@ -32,8 +30,8 @@ Crash-recovery invariant (enforced by the chaos soak in
 ``tests/test_service.py``): kill the service at any instant, start a
 fresh one on the same root, and every in-flight optimization resumes
 from its last durable generation and finishes **bit-identical** to an
-uninterrupted run — with zero leaked shm segments and zero orphaned
-run directories left behind.
+uninterrupted run; ``repro-obs gc`` then collects the dead service's
+own run directory and nothing else.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Dict, List, Optional
 from repro.obs import metrics as _obs_metrics
 from repro.obs.promexport import PromExporter
 from repro.obs.runs import RunRegistry
-from repro.optimize import fleet as _fleet
 from repro.service.jobs import (JobRecord, JobSpec, TERMINAL_STATES,
                                 job_id_of as _job_id)
 from repro.service.queue import JobQueue, LeaseLost
@@ -90,7 +87,7 @@ class JobService:
     poll_interval_s:
         Idle slot sleep between claim attempts.
     recovery_interval_s:
-        Supervisor sweep period (lease recovery + shm janitor).
+        Supervisor sweep period (lease recovery + queue gauges).
     max_pending:
         Admission-control ceiling forwarded to the queue.
     prom_textfile:
@@ -148,10 +145,8 @@ class JobService:
         )
         self.queue.journal = journal
         # Inherit the wreckage of any predecessor on this root before
-        # taking new work: expired leases become claimable and a dead
-        # service's shm segments are unlinked.
+        # taking new work: expired leases become claimable.
         self.queue.recover_expired()
-        self._sweep_segments()
         if self.prom_textfile is not None or self.prom_port is not None:
             self.exporter = PromExporter(collectors=[self._prom_samples])
             if self.prom_port is not None:
@@ -197,7 +192,6 @@ class JobService:
             exporter.close()
         journal = self.queue.journal
         self.queue.journal = None
-        self._sweep_segments()
         if journal is not None and not journal.closed:
             journal.append("service_stop", counts=self.queue.counts())
             journal.run_end(status="completed")
@@ -300,7 +294,6 @@ class JobService:
         while not self._stop.wait(self.recovery_interval_s):
             try:
                 self.queue.recover_expired()
-                self._sweep_segments()
                 registry = _obs_metrics.get_metrics()
                 for state, depth in self.queue.counts().items():
                     registry.gauge(f"service.queue.{state}", depth)
@@ -349,14 +342,3 @@ class JobService:
                 value = progress.get(key)
                 if isinstance(value, (int, float)):
                     yield (metric, labels, float(value))
-
-    def _sweep_segments(self) -> int:
-        """Unlink fleet shm segments whose owning process is dead."""
-        reaped = 0
-        for segment in _fleet.stale_segments():
-            if _fleet.unlink_segment(segment):
-                reaped += 1
-        if reaped:
-            _obs_metrics.inc("service.segments_reaped", reaped)
-            self.queue._emit("segments_reaped", n=reaped)
-        return reaped

@@ -79,17 +79,36 @@ def test_run_health_merge_and_roundtrip():
     b = RunHealth()
     b.record(CATEGORY_SINGULAR)
     b.record(CATEGORY_NON_FINITE, 3)
-    b.pool_rebuilds = 2
-    b.serial_fallback = True
+    b.engine_fallbacks = 2
     a.merge(b)
     assert a.failures == {CATEGORY_SINGULAR: 3, CATEGORY_NON_FINITE: 3}
-    assert a.pool_rebuilds == 2 and a.serial_fallback
+    assert a.engine_fallbacks == 2
 
     restored = RunHealth()
     restored.restore(a.state())
     assert restored.failures == a.failures
     assert restored.retries == a.retries
     assert restored.as_dict()["n_failures"] == 6
+
+
+def test_run_health_restores_pre_thread_shard_checkpoint_state():
+    # Checkpoints written while RunHealth still counted process-pool
+    # rebuilds carry two extra keys; they must keep restoring.
+    legacy = {
+        "failures": {CATEGORY_SINGULAR: 2},
+        "retries": 3,
+        "pool_rebuilds": 1,
+        "engine_fallbacks": 4,
+        "serial_fallback": True,
+        "checkpoints_written": 5,
+    }
+    restored = RunHealth()
+    restored.restore(legacy)
+    assert restored.failures == {CATEGORY_SINGULAR: 2}
+    assert restored.retries == 3
+    assert restored.engine_fallbacks == 4
+    assert restored.checkpoints_written == 5
+    assert "pool_rebuilds" not in restored.state()
 
 
 def test_evaluation_failure_str():

@@ -177,48 +177,6 @@ class TestTracerEnabled:
         assert all(c.parent_id in root_ids for c in children)
 
 
-class TestTracerMerge:
-    def test_drain_empties_buffer(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("a"):
-            pass
-        drained = tracer.drain()
-        assert [r.name for r in drained] == ["a"]
-        assert tracer.records == []
-
-    def test_merge_remaps_ids_and_reparents(self):
-        parent = Tracer(enabled=True)
-        worker = Tracer(enabled=True)
-        with parent.span("generation"):
-            with worker.span("worker_root"):
-                with worker.span("worker_child"):
-                    pass
-            shipped = worker.drain()
-            # Attach under the still-open generation span.
-            open_id = parent._stack()[-1]
-            parent.merge(shipped, parent_id=open_id)
-        tree = parent.span_tree()
-        (root,) = tree
-        assert root["name"] == "generation"
-        (worker_root,) = root["children"]
-        assert worker_root["name"] == "worker_root"
-        assert worker_root["children"][0]["name"] == "worker_child"
-
-    def test_merge_avoids_id_collisions(self):
-        parent = Tracer(enabled=True)
-        worker = Tracer(enabled=True)
-        with parent.span("p"):
-            pass
-        with worker.span("w"):
-            pass
-        # Both tracers allocated span_id == 1 independently.
-        parent.merge(worker.drain())
-        ids = [r.span_id for r in parent.records]
-        assert len(ids) == len(set(ids))
-        # Parentless worker spans stay roots when parent_id is None.
-        assert all(r.parent_id is None for r in parent.records)
-
-
 class TestTracerReporting:
     def _traced(self):
         tracer = Tracer(enabled=True)

@@ -5,16 +5,11 @@ Three integration contracts:
 * every population optimizer emits a contiguous per-generation
   telemetry trace, and the trace survives a kill/resume cycle
   identically to an uninterrupted run (wall clock excepted);
-* RunHealth/metrics counters agree between the serial, process-pool,
-  and serial-fallback evaluation paths — in particular a pool rebuild
-  mid-generation must not double count the failures already collected;
+* RunHealth/metrics counters agree between the in-process and the
+  thread-sharded evaluation paths;
 * a traced ``goal_attainment_improved`` run produces a well-formed
   span tree (the tier-1 smoke test backing the CI artifact job).
 """
-
-import functools
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -188,38 +183,17 @@ class TestOptimizerTelemetry:
 # ----------------------------------------------------------------------
 
 def _fail_below(x, threshold=0.3):
-    """Deterministic failure: picklable, identical in every process."""
+    """Deterministic failure, identical on every thread."""
     x = np.asarray(x, dtype=float)
     if x[0] < threshold:
         raise ValueError("synthetic singular matrix")
     return float(np.sum(x ** 2))
 
 
-def _crash_once_then_fail_below(x, flag_path=""):
-    """Kill the worker process once, then behave like _fail_below.
-
-    The first worker that draws the crash candidate creates *flag_path*
-    atomically and dies; every later attempt sees the flag and
-    evaluates normally — so exactly one pool rebuild happens.
-    """
-    x = np.asarray(x, dtype=float)
-    if x[0] > 0.9 and multiprocessing.parent_process() is not None:
-        try:
-            fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(17)
-    return _fail_below(x)
-
-
-def _population(n_fail=4, n_ok=8, crash=False):
+def _population(n_fail=4, n_ok=8):
     rng = np.random.default_rng(42)
     rows = [np.array([0.1, rng.random()]) for _ in range(n_fail)]
     rows += [np.array([0.5, rng.random()]) for _ in range(n_ok)]
-    if crash:
-        rows.append(np.array([0.95, 0.5]))
     return np.stack(rows)
 
 
@@ -230,7 +204,7 @@ class TestCounterConsistency:
         serial = PopulationEvaluator(_fail_below)
         serial_values = serial(population)
 
-        with PopulationEvaluator(_fail_below, workers=2) as pool:
+        with PopulationEvaluator(_fail_below, workers=2) as pool:  # threads
             pool_values = pool(population)
 
         np.testing.assert_array_equal(serial_values, pool_values)
@@ -247,43 +221,6 @@ class TestCounterConsistency:
             metrics.absorb_run_health(health)
             assert metrics.counters() == once
             assert metrics.counter("health.failures.singular") == 4
-
-    def test_pool_rebuild_does_not_double_count(self, tmp_path):
-        flag = str(tmp_path / "crashed.flag")
-        objective = functools.partial(_crash_once_then_fail_below,
-                                      flag_path=flag)
-        population = _population(n_fail=4, n_ok=6, crash=True)
-
-        with PopulationEvaluator(objective, workers=2,
-                                 max_pool_rebuilds=3) as evaluator:
-            values = evaluator(population)
-
-        # The crash aborted the first attempt mid-collection; the
-        # retried generation must count each failing candidate exactly
-        # once, not once per attempt.
-        assert evaluator.health.pool_rebuilds == 1
-        assert evaluator.health.n_failures == 4
-        assert evaluator.health.failures == {CATEGORY_SINGULAR: 4}
-        assert np.sum(np.isinf(values)) == 4
-        assert os.path.exists(flag)
-
-    def test_serial_fallback_counts_once(self, tmp_path):
-        flag = str(tmp_path / "crashed.flag")
-        objective = functools.partial(_crash_once_then_fail_below,
-                                      flag_path=flag)
-        population = _population(n_fail=3, n_ok=5, crash=True)
-
-        # No rebuild budget: the crash abandons the pool and the same
-        # generation re-runs on the in-process serial path (where the
-        # crash branch is inert).
-        with PopulationEvaluator(objective, workers=2,
-                                 max_pool_rebuilds=0) as evaluator:
-            values = evaluator(population)
-
-        assert evaluator.health.serial_fallback
-        assert evaluator.health.pool_rebuilds == 0
-        assert evaluator.health.n_failures == 3
-        assert np.sum(np.isinf(values)) == 3
 
     def test_fault_injector_counts_match_health(self):
         injector = FaultInjector(rosenbrock, p_raise=0.3, seed=5)
