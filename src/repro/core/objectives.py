@@ -23,10 +23,11 @@ comparable.
 from __future__ import annotations
 
 import hashlib
+import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +137,12 @@ class LnaEvaluator:
     logged (capped) in ``self.failure_log``, and **never cached**, so a
     transiently failing design point is re-attempted on revisit.  Pass
     ``on_failure="raise"`` to restore the raising behavior.
+
+    Thread safety: ``DesignFlow(workers>1)`` calls one evaluator from
+    several shard threads.  One lock guards the cache, the counters,
+    ``health`` and ``failure_log``; each call takes it once for its
+    lookups and once to store its results, and never holds it across
+    a solve.
     """
 
     def __init__(self, template: AmplifierTemplate,
@@ -161,6 +168,7 @@ class LnaEvaluator:
         self.cache_hits = 0
         self.cache_size = int(cache_size)
         self._cache: "OrderedDict[bytes, AmplifierPerformance]" = OrderedDict()
+        self._lock = threading.Lock()
         self._fingerprint = self._compute_fingerprint()
         self._compiled: Optional[CompiledTemplate] = None
         if engine == "compiled":
@@ -199,8 +207,9 @@ class LnaEvaluator:
         Call after mutating the template (or its device) in place so
         stale figures of merit cannot be served for the new circuit.
         """
-        self._cache.clear()
-        self._fingerprint = self._compute_fingerprint()
+        with self._lock:
+            self._cache.clear()
+            self._fingerprint = self._compute_fingerprint()
 
     def _key(self, unit_x: np.ndarray) -> bytes:
         quantized = np.round(np.asarray(unit_x, dtype=float), 12)
@@ -208,12 +217,25 @@ class LnaEvaluator:
         quantized = quantized + 0.0
         return self._fingerprint + quantized.tobytes()
 
+    def _store(self, keys: List[bytes], solved: List[AmplifierPerformance],
+               n_fallbacks: int):
+        """Count one call's solves and cache its healthy results."""
+        with self._lock:
+            self.n_solves += len(solved)
+            self.health.engine_fallbacks += n_fallbacks
+            for key, perf in zip(keys, solved):
+                if not perf.is_failure:
+                    self._remember(key, perf)
+        _obs_metrics.inc("evaluator.solves", len(solved))
+
     def _remember(self, key: bytes, perf: AmplifierPerformance):
+        # Caller holds self._lock.
         self._cache[key] = perf
         if len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
     def _lookup(self, key: bytes) -> Optional[AmplifierPerformance]:
+        # Caller holds self._lock.
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
@@ -230,9 +252,10 @@ class LnaEvaluator:
         )
 
     def _record_failure(self, failure: EvaluationFailure):
-        self.health.record(failure.category)
-        if len(self.failure_log) < self.max_failure_log:
-            self.failure_log.append(failure)
+        with self._lock:
+            self.health.record(failure.category)
+            if len(self.failure_log) < self.max_failure_log:
+                self.failure_log.append(failure)
         _obs_journal.emit("evaluation_failure",
                           category=failure.category,
                           message=str(failure.message)[:200])
@@ -261,39 +284,18 @@ class LnaEvaluator:
         """Figures of merit at a *unit-box* design vector."""
         unit_x = np.asarray(unit_x, dtype=float)
         key = self._key(unit_x)
-        cached = self._lookup(key)
+        with self._lock:
+            cached = self._lookup(key)
         if cached is not None:
             return cached
         _obs_metrics.inc("evaluator.cache_misses")
         with _obs_tracer.span("evaluator.performance"):
-            return self._performance_miss(key, unit_x)
-
-    def _performance_miss(self, key: bytes,
-                          unit_x: np.ndarray) -> AmplifierPerformance:
-        if self.on_failure == "raise":
-            perf = self._solve_one(unit_x)
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            self._remember(key, perf)
-            return perf
-        if self._compiled is not None:
-            batch, failures, n_fallbacks = (
-                self._compiled.performance_batch_isolated(unit_x[None, :])
-            )
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            self.health.engine_fallbacks += n_fallbacks
-            if failures[0] is not None:
-                return self._penalty(failures[0])
-            perf = batch.candidate(0)
-        else:
-            perf = self._solve_one_guarded(unit_x)
-            self.n_solves += 1
-            _obs_metrics.inc("evaluator.solves")
-            if perf.is_failure:
-                return perf
-        self._remember(key, perf)
-        return perf
+            if self.on_failure == "raise":
+                solved, n_fallbacks = [self._solve_one(unit_x)], 0
+            else:
+                solved, n_fallbacks = self._solve_misses(unit_x[None, :], [0])
+            self._store([key], solved, n_fallbacks)
+        return solved[0]
 
     def performance_batch(
         self, unit_x: np.ndarray
@@ -307,52 +309,53 @@ class LnaEvaluator:
         unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
         results: List[Optional[AmplifierPerformance]] = [None] * len(unit_x)
         miss_rows: "OrderedDict[bytes, List[int]]" = OrderedDict()
-        for i, x in enumerate(unit_x):
-            key = self._key(x)
-            cached = self._lookup(key)
-            if cached is not None:
-                results[i] = cached
-            else:
-                miss_rows.setdefault(key, []).append(i)
+        keys = [self._key(x) for x in unit_x]
+        with self._lock:
+            for i, key in enumerate(keys):
+                cached = self._lookup(key)
+                if cached is not None:
+                    results[i] = cached
+                else:
+                    miss_rows.setdefault(key, []).append(i)
         if miss_rows:
             first_rows = [rows[0] for rows in miss_rows.values()]
             _obs_metrics.inc("evaluator.cache_misses", len(first_rows))
             with _obs_tracer.span("evaluator.performance_batch",
                                   batch=len(unit_x),
                                   misses=len(first_rows)):
-                solved = self._solve_misses(unit_x, first_rows)
-            for (key, rows), perf in zip(miss_rows.items(), solved):
-                self.n_solves += 1
-                _obs_metrics.inc("evaluator.solves")
-                if not perf.is_failure:
-                    self._remember(key, perf)
+                solved, n_fallbacks = self._solve_misses(unit_x, first_rows)
+            self._store(list(miss_rows), solved, n_fallbacks)
+            for rows, perf in zip(miss_rows.values(), solved):
                 for i in rows:
                     results[i] = perf
         return results
 
-    def _solve_misses(self, unit_x: np.ndarray,
-                      first_rows: List[int]) -> List[AmplifierPerformance]:
-        """Solve the de-duplicated cache misses of a batch call."""
+    def _solve_misses(self, unit_x: np.ndarray, first_rows: List[int]
+                      ) -> Tuple[List[AmplifierPerformance], int]:
+        """Solve the de-duplicated cache misses of a call.
+
+        Returns the solved records and the engine's fallback count.
+        """
         if self.on_failure == "raise":
             if self._compiled is not None:
                 batch = self._compiled.performance_batch(unit_x[first_rows])
-                return [batch.candidate(k) for k in range(len(first_rows))]
-            return [self._solve_one(unit_x[i]) for i in first_rows]
+                return [batch.candidate(k)
+                        for k in range(len(first_rows))], 0
+            return [self._solve_one(unit_x[i]) for i in first_rows], 0
         if self._compiled is not None:
             batch, failures, n_fallbacks = (
                 self._compiled.performance_batch_isolated(
                     unit_x[first_rows]
                 )
             )
-            self.health.engine_fallbacks += n_fallbacks
             solved = []
             for k in range(len(first_rows)):
                 if failures[k] is not None:
                     solved.append(self._penalty(failures[k]))
                 else:
                     solved.append(batch.candidate(k))
-            return solved
-        return [self._solve_one_guarded(unit_x[i]) for i in first_rows]
+            return solved, n_fallbacks
+        return [self._solve_one_guarded(unit_x[i]) for i in first_rows], 0
 
 
 def build_lna_problem(template: AmplifierTemplate,

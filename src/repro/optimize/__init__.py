@@ -70,7 +70,7 @@ def __getattr__(name):
         return getattr(robust, name)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")
-from repro.optimize.scalarization import epsilon_constraint, weighted_sum
+from repro.optimize.scalarization import weighted_sum
 from repro.optimize.pareto import (
     dominates,
     hypervolume_2d,
@@ -124,7 +124,6 @@ __all__ = [
     "TemperatureCoefficients",
     "build_robust_problem",
     "robust_score",
-    "epsilon_constraint",
     "weighted_sum",
     "dominates",
     "hypervolume_2d",

@@ -1,10 +1,9 @@
-"""Scalarization baselines: weighted sum and epsilon-constraint.
+"""Scalarization baseline: the weighted sum.
 
-These are the methods the improved goal attainment is compared against
-in experiment E5/E6.  The weighted sum is the classic strawman — it
+The method the improved goal attainment is compared against in
+experiment E5/E6.  The weighted sum is the classic strawman — it
 cannot reach non-convex regions of the Pareto front no matter the
-weights — and epsilon-constraint is the standard alternative that can,
-at the cost of one constrained solve per front point.
+weights.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.optimize.goal_attainment import (
 )
 from repro.optimize.metaheuristics import latin_hypercube
 
-__all__ = ["weighted_sum", "epsilon_constraint"]
+__all__ = ["weighted_sum"]
 
 
 def weighted_sum(
@@ -89,76 +88,4 @@ def weighted_sum(
         x=best_x, objectives=f, gamma=0.0, goals=f.copy(),
         weights=weights, nfev=counter.nfev, success=best_success,
         constraint_violation=violation, message=best_message,
-    )
-
-
-def epsilon_constraint(
-    problem: MultiObjectiveProblem,
-    primary_index: int,
-    epsilons,
-    n_starts: int = 4,
-    seed: Optional[int] = 0,
-    max_iterations: int = 200,
-) -> GoalAttainmentResult:
-    """Minimize one objective with the others bounded by *epsilons*.
-
-    ``epsilons[i]`` bounds objective ``i``; the entry at
-    ``primary_index`` is ignored.
-    """
-    epsilons = np.asarray(epsilons, dtype=float)
-    if not 0 <= primary_index < problem.n_objectives:
-        raise ValueError(f"primary_index out of range: {primary_index}")
-    counter = _CountedObjectives(problem)
-    rng = np.random.default_rng(seed)
-    starts = latin_hypercube(n_starts, problem.lower, problem.upper, rng)
-    secondary = [
-        i for i in range(problem.n_objectives) if i != primary_index
-    ]
-
-    def scalar(x):
-        return float(counter(x)[primary_index])
-
-    def eps_constraints(x):
-        f = counter(x)
-        return np.array([epsilons[i] - f[i] for i in secondary])
-
-    constraint_list = [{"type": "ineq", "fun": eps_constraints}]
-    if problem.constraints is not None:
-        constraint_list.append(
-            {"type": "ineq",
-             "fun": lambda x: -np.asarray(problem.constraints(x),
-                                          dtype=float)}
-        )
-    best_x, best_value, best_success, best_message = None, np.inf, False, ""
-    for x0 in starts:
-        solution = sp_optimize.minimize(
-            scalar, x0, method="SLSQP",
-            bounds=list(zip(problem.lower, problem.upper)),
-            constraints=constraint_list,
-            options={"maxiter": max_iterations, "ftol": 1e-10},
-        )
-        x_sol = np.clip(solution.x, problem.lower, problem.upper)
-        violation = float(np.max(np.maximum(
-            -eps_constraints(x_sol), 0.0), initial=0.0))
-        if problem.constraints is not None:
-            violation = max(violation, float(np.max(np.maximum(
-                problem.constraints(x_sol), 0.0), initial=0.0)))
-        if violation <= 1e-6 and solution.fun < best_value:
-            best_x, best_value = x_sol, float(solution.fun)
-            best_success = bool(solution.success)
-            best_message = str(solution.message)
-    if best_x is None:
-        best_x = starts[0]
-        best_success = False
-        best_message = "no feasible epsilon-constraint solution found"
-    f = counter(best_x)
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(np.max(np.maximum(
-            problem.constraints(best_x), 0.0), initial=0.0))
-    return GoalAttainmentResult(
-        x=best_x, objectives=f, gamma=0.0, goals=epsilons,
-        weights=np.ones(problem.n_objectives), nfev=counter.nfev,
-        success=best_success, constraint_violation=violation,
-        message=best_message,
     )

@@ -7,6 +7,10 @@ merit, and the batch objective protocol must not change optimizer
 results beyond that roundoff.
 """
 
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,24 @@ def template():
 @pytest.fixture(scope="module")
 def engine(template):
     return CompiledTemplate(template)
+
+
+class _InterleavingCache(OrderedDict):
+    """An LRU store that runs ``intruder`` on a second thread inside its
+    next ``get`` and waits (briefly) for it, so the intruder lands
+    between the evaluator's ``get`` and ``move_to_end`` unless a lock
+    holds it off."""
+
+    intruder = None
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        intruder, self.intruder = self.intruder, None
+        if intruder is not None:
+            self.thread = threading.Thread(target=intruder)
+            self.thread.start()
+            self.thread.join(timeout=0.5)
+        return value
 
 
 def _assert_matches_scalar(engine, template, unit_x, tolerance=1e-8):
@@ -143,6 +165,73 @@ class TestLnaEvaluatorCache:
         x_pos[0] = 0.0
         # -0.0 == 0.0 numerically; the key must agree too.
         assert evaluator._key(x_neg) == evaluator._key(x_pos)
+
+    @pytest.mark.parametrize("entry", ["performance", "performance_batch"])
+    def test_eviction_between_get_and_move_to_end(self, template, entry):
+        """Shard threads share one evaluator: an eviction by another
+        thread between a hit's ``get`` and ``move_to_end`` must not
+        raise ``KeyError``."""
+        evaluator = LnaEvaluator(template, engine="scalar", cache_size=1)
+        x_old = np.full(len(DesignVariables.NAMES), 0.4)
+        x_new = np.full(len(DesignVariables.NAMES), 0.6)
+        cached = evaluator.performance(x_old)
+        evaluator._cache = _InterleavingCache(evaluator._cache)
+        evaluator._cache.intruder = lambda: evaluator.performance(x_new)
+        if entry == "performance":
+            served = evaluator.performance(x_old)
+        else:
+            served, = evaluator.performance_batch(x_old[None, :])
+        evaluator._cache.thread.join(timeout=30.0)
+        assert not evaluator._cache.thread.is_alive()
+        assert served is cached
+        assert evaluator.n_solves == 2
+        assert evaluator.cache_hits == 1
+        assert list(evaluator._cache) == [evaluator._key(x_new)]
+
+    def test_shard_threads_lose_no_counter_updates(self, template):
+        """Every lookup is counted once as a hit or a solve, however
+        shard threads interleave over a small, constantly evicting
+        cache."""
+        evaluator = LnaEvaluator(template, engine="scalar", cache_size=2,
+                                 on_failure="raise")
+        points = np.linspace(0.2, 0.8, 6)[:, None] * np.ones(
+            len(DesignVariables.NAMES))
+        # A canned solve keeps each call short, so threads mostly
+        # contend on the cache and the counters.
+        canned = evaluator.performance(points[0])
+        evaluator.invalidate_cache()
+        evaluator.n_solves = 0
+        evaluator._solve_one = lambda unit_x: canned
+        n_threads, n_rounds = 4, 2000
+        errors = []
+
+        def worker(k):
+            try:
+                for r in range(n_rounds):
+                    x = points[(k + r) % len(points)]
+                    if k % 2:
+                        evaluator.performance_batch(x[None, :])
+                    else:
+                        evaluator.performance(x)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (evaluator.n_solves + evaluator.cache_hits
+                == n_threads * n_rounds)
+        assert len(evaluator._cache) <= 2
 
     def test_invalidate_cache_clears_and_refingerprints(self, template):
         evaluator = LnaEvaluator(template)

@@ -8,7 +8,7 @@ from repro.optimize.goal_attainment import (
     goal_attainment_improved,
     goal_attainment_standard,
 )
-from repro.optimize.scalarization import epsilon_constraint, weighted_sum
+from repro.optimize.scalarization import weighted_sum
 
 
 def convex_biobjective():
@@ -163,26 +163,3 @@ class TestScalarizationBaselines:
             weighted_sum(convex_biobjective(), [1.0])
         with pytest.raises(ValueError):
             weighted_sum(convex_biobjective(), [1.0, -2.0])
-
-    def test_epsilon_constraint_respects_bound(self):
-        problem = convex_biobjective()
-        result = epsilon_constraint(problem, primary_index=0,
-                                    epsilons=[np.inf, 1.0], seed=0)
-        assert result.objectives[1] <= 1.0 + 1e-6
-        # Minimizing f1 subject to f2 <= 1 lands at x = (0, 0).
-        np.testing.assert_allclose(result.x, 0.0, atol=1e-3)
-
-    def test_epsilon_constraint_index_validated(self):
-        with pytest.raises(ValueError):
-            epsilon_constraint(convex_biobjective(), primary_index=5,
-                               epsilons=[1.0, 1.0])
-
-    def test_epsilon_constraint_traces_front(self):
-        problem = convex_biobjective()
-        points = []
-        for eps in (0.5, 1.0, 2.0):
-            result = epsilon_constraint(problem, 0, [np.inf, eps], seed=0)
-            points.append(result.objectives)
-        f1_values = [p[0] for p in points]
-        # Tighter epsilon on f2 forces larger f1.
-        assert f1_values[0] > f1_values[1] > f1_values[2]

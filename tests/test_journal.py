@@ -645,16 +645,33 @@ class TestCli:
         assert cli_main(["--runs-root", root, "summary", "nope"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_flame(self, tmp_path, capsys):
-        tracer = Tracer(enabled=True)
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
+    @staticmethod
+    def _fixed_trace(tmp_path, child_share):
+        """A 1 s root span whose child takes *child_share* of it."""
+        tracer = Tracer.from_dict({"spans": [
+            {"span_id": 1, "parent_id": None, "name": "root",
+             "start_s": 0.0, "duration_s": 1.0},
+            {"span_id": 2, "parent_id": 1, "name": "child",
+             "start_s": 0.0, "duration_s": child_share},
+        ]})
         trace_path = str(tmp_path / "trace.json")
         tracer.to_json(trace_path)
+        return trace_path
+
+    def test_flame(self, tmp_path, capsys):
+        trace_path = self._fixed_trace(tmp_path, 0.5)
         assert cli_main(["flame", trace_path]) == 0
         out = capsys.readouterr().out
         assert "root" in out and "child" in out
+        assert "50.0%" in out
+
+    def test_flame_folds_children_below_min_fraction(self, tmp_path, capsys):
+        trace_path = self._fixed_trace(tmp_path, 0.001)
+        assert cli_main(["flame", trace_path]) == 0
+        out = capsys.readouterr().out
+        assert "root" in out and "child" not in out
+        assert cli_main(["flame", trace_path, "--min-fraction", "0"]) == 0
+        assert "child" in capsys.readouterr().out
 
     def test_flame_missing_trace_exits_2(self, tmp_path, capsys):
         os.makedirs(tmp_path / "empty-run")
