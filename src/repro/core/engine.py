@@ -39,7 +39,7 @@ design points and :class:`CompileError` is raised on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -103,6 +103,14 @@ __all__ = [
 ]
 
 _2KT0 = 2.0 * BOLTZMANN * 290.0
+
+#: Rows one fault-isolated solve factorizes at a time.  A row peaks at
+#: ~130 KB (the ``(B, F, m, m)`` reduced systems and LAPACK's copy), so
+#: a robust generation's ~430 stacked corner rows in one call would add
+#: ~55 MB of peak memory; 64-row blocks keep the throughput of the
+#: stacked call at a fraction of the footprint (see DESIGN.md, "Batched
+#: corner sweeps").  Healthy rows are bit-identical in any block.
+_ISOLATED_BLOCK_ROWS = 64
 
 #: Elements of :meth:`AmplifierTemplate.build_circuit` whose stamped
 #: value depends on the design vector.  Everything else goes into the
@@ -819,7 +827,33 @@ class CompiledTemplate:
     def _batch_isolated(self, x_physical: np.ndarray, x_report: np.ndarray,
                         decode):
         """Shared isolated solve; ``x_report`` rows label failures and
-        ``decode(i)`` rebuilds row *i* for the scalar fallback."""
+        ``decode(i)`` rebuilds row *i* for the scalar fallback.
+
+        Batches longer than :data:`_ISOLATED_BLOCK_ROWS` are solved one
+        block at a time and concatenated, which bounds peak memory.
+        """
+        n_batch = x_physical.shape[0]
+        if n_batch <= _ISOLATED_BLOCK_ROWS:
+            return self._block_isolated(x_physical, x_report, decode, 0)
+        parts, failures, n_fallbacks = [], [], 0
+        for start in range(0, n_batch, _ISOLATED_BLOCK_ROWS):
+            stop = start + _ISOLATED_BLOCK_ROWS
+            batch, block_failures, block_fallbacks = self._block_isolated(
+                x_physical[start:stop], x_report[start:stop], decode, start)
+            parts.append(batch)
+            failures.extend(block_failures)
+            n_fallbacks += block_fallbacks
+        batch = BatchPerformance(frequency=parts[0].frequency, **{
+            field.name: np.concatenate([getattr(p, field.name)
+                                        for p in parts])
+            for field in fields(BatchPerformance)
+            if field.name != "frequency"})
+        return batch, failures, n_fallbacks
+
+    def _block_isolated(self, x_physical: np.ndarray, x_report: np.ndarray,
+                        decode, offset: int):
+        """One block of :meth:`_batch_isolated`; local row *i* is row
+        ``offset + i`` of the whole batch."""
         n_batch = x_physical.shape[0]
         failures: List[Optional[EvaluationFailure]] = [None] * n_batch
 
@@ -856,7 +890,7 @@ class CompiledTemplate:
             with np.errstate(divide="ignore", invalid="ignore"):
                 try:
                     scalar = self.template.evaluate(
-                        decode(i), self.band_grid, self.guard_grid,
+                        decode(offset + i), self.band_grid, self.guard_grid,
                     )
                 except FAILURE_EXCEPTIONS as exc:
                     failures[i] = EvaluationFailure(
@@ -889,7 +923,7 @@ class CompiledTemplate:
                 if failures[i] is not None:
                     continue  # already quarantined with penalty figures
                 message = (
-                    f"candidate {i} reports NF < 0 dB "
+                    f"candidate {offset + i} reports NF < 0 dB "
                     f"(min {float(np.min(batch.nf_db[i])):.3e} dB): "
                     f"negative noise power is unphysical"
                 )

@@ -7,7 +7,7 @@ meeting the shipping spec — the standard post-design step that decides
 whether the optimized point is *robust*, not just optimal.
 
 The default ``engine="batched"`` evaluates every sampled board in one
-batched MNA factorization (via
+fault-isolated engine call, factorized in 64-row blocks (via
 :meth:`repro.core.engine.CompiledTemplate.performance_batch_physical_isolated`
 on a Monte-Carlo :class:`~repro.optimize.robust.CornerSet` that draws
 the exact RNG sequence of the scalar loop); ``engine="scalar"`` keeps
@@ -127,10 +127,11 @@ def monte_carlo_yield(
     Return-loss and ripple are tracked in ``failures`` but judged
     against the (looser) shipping limits derived from *spec*.
 
-    ``engine="batched"`` (default) solves all trials in one batched MNA
-    factorization; trials whose solve fails quarantine through the
-    failure taxonomy and are counted under ``failures["quarantined"]``
-    (a board that cannot be solved certainly does not ship).
+    ``engine="batched"`` (default) solves all trials in one batched
+    engine call (64-row blocks); trials whose solve fails quarantine
+    through the failure taxonomy and are counted under
+    ``failures["quarantined"]`` (a board that cannot be solved
+    certainly does not ship).
     ``engine="scalar"`` is the per-trial reference loop; both engines
     consume the identical RNG stream, so per-trial figures agree to
     well under 1e-9.  Pass a prebuilt

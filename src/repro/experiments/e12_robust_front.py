@@ -7,9 +7,10 @@ front sits above-right of the nominal E6 front (worst-case NF is
 always >= nominal NF), and the high-yield end trades a few tenths of a
 dB of noise figure for designs that survive loose parts.
 
-Every candidate's corner sweep is one batched MNA call; a quadratic
-surrogate trained on the run's own evaluation history pre-screens each
-generation so only the shortlisted fraction pays for a sweep.  The
+A generation's corner sweep is one batched engine call over every
+shortlisted candidate's corners; a quadratic surrogate trained on the
+run's own evaluation history pre-screens each generation so only the
+shortlisted fraction pays for a sweep.  The
 corner RNG and surrogate state ride the NSGA-II checkpoint (via
 :class:`~repro.optimize.robust.RobustStateSink`), so a SIGKILLed run
 resumes bit-for-bit.  The reported front is re-evaluated with the

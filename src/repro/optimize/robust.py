@@ -10,16 +10,17 @@ first-class optimization objectives:
 * :class:`CornerSet` — a deterministic set of multiplicative /
   additive perturbations in **physical** component space: tolerance
   corners from a :class:`~repro.core.tolerance.ToleranceSpec`, bias
-  corners (offset-only, so the sparse tier's Woodbury update applies),
-  temperature corners from :class:`TemperatureCoefficients`, and
+  corners (offset-only), temperature corners from
+  :class:`TemperatureCoefficients`, and
   Monte-Carlo samples drawn with the exact RNG consumption of the
   scalar :func:`~repro.core.tolerance.monte_carlo_yield` loop.
   Corner sets compose with ``+``.
-* :class:`RobustEvaluator` — evaluates one candidate's **entire**
-  corner set as a single
+* :class:`RobustEvaluator` — stacks the **entire** corner set of every
+  shortlisted candidate of a generation into a single
   :meth:`~repro.core.engine.CompiledTemplate.performance_batch_physical_isolated`
-  call, so a 64-corner sweep costs one batched MNA factorization, not
-  64 scalar circuit builds.  Corner failures quarantine through the
+  call, so a generation's sweep costs a few batched MNA factorizations
+  (64-row blocks), not one call per candidate or a scalar circuit
+  build per corner.  Corner failures quarantine through the
   :class:`~repro.optimize.faults.EvaluationFailure` taxonomy with the
   healthy corners bit-identical to an all-healthy sweep.
 * :class:`QuadraticSurrogate` — a deterministic numpy-only ridge
@@ -166,8 +167,10 @@ class CornerSet:
         """True when only the bias columns are perturbed (offset-only).
 
         Such a corner batch varies only the ``vgs``/``vds`` admittance
-        groups within one candidate's sweep, which is exactly the
-        low-rank structure the sparse tier's Woodbury update exploits.
+        groups of one candidate, the low-rank structure the sparse
+        tier's Woodbury update exploits when the batch is swept alone
+        (:class:`RobustEvaluator` stacks several candidates, whose rows
+        then differ in every group and are refactorized in full).
         """
         if not np.allclose(self.scale, 1.0, rtol=0.0, atol=0.0):
             return False
@@ -254,7 +257,7 @@ class CornerSet:
     @classmethod
     def bias(cls, vgs_delta: float = 0.01,
              vds_delta: float = 0.05) -> "CornerSet":
-        """Four offset-only regulator-drift corners (Woodbury-eligible)."""
+        """Four offset-only regulator-drift corners."""
         _ensure_finite([vgs_delta, vds_delta], "bias deltas")
         names = []
         offsets = []
@@ -439,14 +442,16 @@ class RobustFigures:
 class RobustEvaluator:
     """Batched corner sweeps with surrogate pre-screening.
 
-    One candidate's entire corner set is one
-    ``performance_batch_physical_isolated`` call — the whole sweep
-    shares a single batched MNA factorization, and bias-only corner
-    sets ride the sparse tier's Woodbury update.  A corner whose solve
+    The corner sets of all shortlisted candidates of one batch are
+    stacked into one ``(n_short * C, n)`` physical matrix and swept by
+    one ``performance_batch_physical_isolated`` call, which the engine
+    factorizes in fixed 64-row blocks; the figures are then reduced
+    per candidate on an ``(n_short, C)`` reshape.  A corner whose solve
     fails quarantines through the standard failure taxonomy: it counts
     as a yield fail, worst-case figures are taken over the healthy
-    corners only, and the healthy corners stay bit-identical to a sweep
-    without the sick corner.
+    corners only (penalty figures when none is healthy), and every
+    healthy corner — of the sick candidate and of its neighbours in
+    the stack — stays bit-identical to a sweep without the sick corner.
 
     When ``screen_fraction < 1`` and the surrogate has enough history,
     only the best-ranked fraction of each batch pays for a sweep; the
@@ -498,31 +503,45 @@ class RobustEvaluator:
         self.n_screened = 0
 
     # -- the sweep ----------------------------------------------------------
-    def _sweep_one(self, x_physical: np.ndarray):
-        """Full corner sweep of one candidate: one batched solve."""
-        corner_x = self.corners.apply(x_physical)
+    def _sweep(self, x_physical: np.ndarray):
+        """Corner sweep of a ``(S, n)`` physical stack: one engine call.
+
+        Returns per-candidate ``(yield, NFworst, GTworst, muworst,
+        n_quarantined)`` arrays of length ``S``.
+        """
+        n_cand = x_physical.shape[0]
+        n_corners = self.corners.n_corners
+        corner_x = np.vstack([self.corners.apply(x) for x in x_physical])
         batch, failures, _ = (
             self._compiled.performance_batch_physical_isolated(corner_x))
-        quarantined = np.array([f is not None for f in failures])
+        shape = (n_cand, n_corners)
+        quarantined = np.array([f is not None for f in failures],
+                               dtype=bool).reshape(shape)
         healthy = ~quarantined
+        nf = batch.nf_max_db.reshape(shape)
+        gt = batch.gt_min_db.reshape(shape)
+        mu = batch.mu_min.reshape(shape)
         passing = (healthy
-                   & (batch.nf_max_db <= self.nf_ship_limit_db)
-                   & (batch.gt_min_db >= self.gt_ship_limit_db)
-                   & (batch.mu_min > self.mu_ship))
-        yield_fraction = float(np.mean(passing))
-        if np.any(healthy):
-            nf_worst = float(np.max(batch.nf_max_db[healthy]))
-            gt_worst = float(np.min(batch.gt_min_db[healthy]))
-            mu_worst = float(np.min(batch.mu_min[healthy]))
-        else:
-            nf_worst = PENALTY_NF_DB
-            gt_worst = PENALTY_GT_DB
-            mu_worst = 0.0
-        self.n_sweeps += 1
-        self.n_corner_evals += self.corners.n_corners
-        _obs_metrics.inc("robust.corner_evals", self.corners.n_corners)
-        return (yield_fraction, nf_worst, gt_worst, mu_worst,
-                int(np.sum(quarantined)))
+                   & (nf <= self.nf_ship_limit_db)
+                   & (gt >= self.gt_ship_limit_db)
+                   & (mu > self.mu_ship))
+        any_healthy = np.any(healthy, axis=1)
+        # Worst cases over the healthy corners only; a candidate with no
+        # healthy corner gets the penalty figures.
+        nf_worst = np.where(any_healthy,
+                            np.max(np.where(healthy, nf, -np.inf), axis=1),
+                            PENALTY_NF_DB)
+        gt_worst = np.where(any_healthy,
+                            np.min(np.where(healthy, gt, np.inf), axis=1),
+                            PENALTY_GT_DB)
+        mu_worst = np.where(any_healthy,
+                            np.min(np.where(healthy, mu, np.inf), axis=1),
+                            0.0)
+        self.n_sweeps += n_cand
+        self.n_corner_evals += n_cand * n_corners
+        _obs_metrics.inc("robust.corner_evals", n_cand * n_corners)
+        return (np.mean(passing, axis=1), nf_worst, gt_worst, mu_worst,
+                np.sum(quarantined, axis=1))
 
     def evaluate_batch(self, unit_x: np.ndarray,
                        screen: Optional[bool] = None) -> RobustFigures:
@@ -582,22 +601,21 @@ class RobustEvaluator:
         with _obs_tracer.span("robust.evaluate_batch",
                               batch=n_batch, n_full=int(n_full),
                               corners=self.corners.n_corners):
-            observed_x: List[np.ndarray] = []
-            observed_y: List[List[float]] = []
-            for i in shortlist:
-                y_frac, nf, gt, mu, n_quar = self._sweep_one(x_physical[i])
-                figures.yield_fraction[i] = y_frac
-                figures.nf_worst_db[i] = nf
-                figures.gt_worst_db[i] = gt
-                figures.mu_worst[i] = mu
-                figures.screened[i] = False
-                figures.n_quarantined[i] = n_quar
-                if n_quar < self.corners.n_corners:
-                    observed_x.append(unit_x[i])
-                    observed_y.append([y_frac, nf, gt])
-            if observed_x:
-                self.surrogate.observe(np.array(observed_x),
-                                       np.array(observed_y))
+            if shortlist.size:
+                y_frac, nf, gt, mu, n_quar = self._sweep(
+                    x_physical[shortlist])
+                figures.yield_fraction[shortlist] = y_frac
+                figures.nf_worst_db[shortlist] = nf
+                figures.gt_worst_db[shortlist] = gt
+                figures.mu_worst[shortlist] = mu
+                figures.screened[shortlist] = False
+                figures.n_quarantined[shortlist] = n_quar
+                # Candidates with a healthy corner, in ascending row order.
+                seen = n_quar < self.corners.n_corners
+                if np.any(seen):
+                    self.surrogate.observe(
+                        unit_x[shortlist[seen]],
+                        np.column_stack([y_frac, nf, gt])[seen])
 
         _contracts.check_yield_fraction(figures.yield_fraction,
                                         "robust.evaluate_batch")

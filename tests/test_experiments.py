@@ -8,6 +8,9 @@ render a non-empty report.  The heavyweight E8-E11 drivers run from the
 import numpy as np
 import pytest
 
+from repro.core.amplifier import AmplifierTemplate
+from repro.core.bands import design_grid, stability_grid
+from repro.core.engine import CompiledTemplate
 from repro.experiments import (
     REGISTRY,
     e1_model_comparison,
@@ -19,7 +22,9 @@ from repro.experiments import (
     e9_measured_sparams,
     e10_measured_nf,
     e11_intermodulation,
+    e12_robust_front,
 )
+from repro.experiments.common import reference_device
 
 
 class TestRegistry:
@@ -79,6 +84,25 @@ class TestLightExperiments:
         # eps_eff monotone non-decreasing.
         assert np.all(np.diff(result.eps_eff) >= -1e-9)
         assert "Fig. 4" in e7_passive_dispersion.format_report(result)
+
+    def test_e12_robust_front_sits_above_right_of_nominal(self):
+        result = e12_robust_front.run(population_size=12, n_generations=6,
+                                      seed=0)
+        assert result.n_points >= 1
+        # E12's shape: the robust front lies above-right of the nominal
+        # one, so at every published point the worst corner is no
+        # better than the nominal board (both on E12's grids).
+        nominal = CompiledTemplate(
+            AmplifierTemplate(reference_device().small_signal),
+            design_grid(9), stability_grid(12),
+            verify=False).performance_batch(result.front_x)
+        nf_worst = result.front[:, 0]
+        gt_worst = -result.front[:, 1]
+        assert np.all(nf_worst >= nominal.nf_max_db)
+        assert np.all(gt_worst <= nominal.gt_min_db)
+        assert np.all((result.yield_fraction >= 0.0)
+                      & (result.yield_fraction <= 1.0))
+        assert "E12" in e12_robust_front.format_report(result)
 
 
 @pytest.fixture(scope="module")

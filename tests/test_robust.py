@@ -16,6 +16,7 @@ Contracts under test:
   injection, and runnable as the ``robust.optimize`` service job.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -23,8 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
+from repro.core import engine as engine_module
 from repro.core.bands import design_grid, stability_grid
-from repro.core.engine import CompiledTemplate
+from repro.core.engine import BatchPerformance, CompiledTemplate
 from repro.core.tolerance import ToleranceSpec
 from repro.experiments.common import reference_device
 from repro.obs.journal import RunJournal, set_journal
@@ -153,6 +155,71 @@ def test_bias_only_sweep_takes_woodbury_path(template):
     corner_x = CornerSet.bias().apply(DesignVariables().to_vector())
     engine.performance_batch_physical(corner_x)
     assert engine._plan.last_update == "woodbury"
+
+
+def _failure_key(failure):
+    if failure is None:
+        return None
+    return failure.category, failure.message, failure.x.tobytes()
+
+
+def test_isolated_blocks_match_row_by_row(template):
+    """130 rows solve as 64 + 64 + 2 blocks; every row, and every
+    failure, is exactly what a one-row call gives."""
+    assert engine_module._ISOLATED_BLOCK_ROWS == 64
+    engine = CompiledTemplate(template, design_grid(5), stability_grid(6),
+                              verify=False)
+    x = engine._to_physical(
+        np.random.default_rng(7).random((130, N_VARS)))
+    sick = [5, 63, 64, 129]  # both sides of each block boundary
+    x[sick, BIAS_VARS[0]] -= 5.0
+    batch, failures, n_fallbacks = (
+        engine.performance_batch_physical_isolated(x))
+    rows = [engine.performance_batch_physical_isolated(x[i:i + 1])
+            for i in range(x.shape[0])]
+
+    for field in dataclasses.fields(BatchPerformance):
+        if field.name == "frequency":
+            continue
+        np.testing.assert_array_equal(
+            getattr(batch, field.name),
+            np.concatenate([getattr(row[0], field.name) for row in rows]))
+    assert ([_failure_key(f) for f in failures]
+            == [_failure_key(row[1][0]) for row in rows])
+    assert [i for i, f in enumerate(failures) if f is not None] == sick
+    assert n_fallbacks == sum(row[2] for row in rows) == 0
+
+
+def test_scalar_rescue_in_a_later_block_decodes_its_own_row(monkeypatch,
+                                                            template):
+    """A row rescued by the scalar path in the second block is rebuilt
+    from its own design vector, not from the block-local index."""
+    engine = CompiledTemplate(template, design_grid(5), stability_grid(6),
+                              verify=False)
+    x = engine._to_physical(np.random.default_rng(8).random((70, N_VARS)))
+    reference = engine.performance_batch_physical(x)
+    plan = engine._plan
+    real = plan.solve_rows
+
+    def poisoned(coeffs, n_batch, update="full"):
+        out = real(coeffs, n_batch, update=update)
+        if n_batch == 6:  # the second block: rows 64..69
+            out = np.array(out)
+            out[2] = np.nan  # row 66
+        return out
+
+    monkeypatch.setattr(plan, "solve_rows", poisoned)
+    batch, failures, n_fallbacks = (
+        engine.performance_batch_physical_isolated(x))
+    assert all(f is None for f in failures)
+    assert n_fallbacks == 1
+    healthy = np.arange(70) != 66
+    for name in ("nf_db", "gt_db", "mu_min", "ids"):
+        np.testing.assert_array_equal(getattr(batch, name)[healthy],
+                                      getattr(reference, name)[healthy])
+        np.testing.assert_allclose(getattr(batch, name)[66],
+                                   getattr(reference, name)[66],
+                                   rtol=1e-9, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +354,37 @@ class TestRobustEvaluator:
         assert figures.gt_worst_db[0] == PENALTY_GT_DB
         assert figures.mu_worst[0] == 0.0
         assert figures.n_quarantined[0] == 2
+
+    def test_sick_corner_across_a_block_boundary_stays_with_its_candidate(
+            self, template):
+        # 10 tolerance corners + 1 poison corner + 7 Monte-Carlo trials
+        # = 18 corners: 5 candidates stack 90 rows, and candidate 3's
+        # rows 54..71 straddle the engine's 64-row block boundary, its
+        # poison corner on row 64.  The poison pulls Vgs down by 2.3 V:
+        # still biased (gds > 0) from Vgs = 0.548 V, cut off (gds = 0,
+        # a bad bias) from candidate 3's Vgs = 0.35 V.
+        poison_offset = np.zeros((1, N_VARS))
+        poison_offset[0, BIAS_VARS[0]] = -2.3
+        corners = CornerSet.from_tolerances() + CornerSet(
+            ("poison",), np.ones((1, N_VARS)), poison_offset)
+
+        def make():
+            return _evaluator(template, corners=corners, n_mc_trials=7)
+
+        unit_x = np.random.default_rng(4).uniform(0.2, 0.8, (5, N_VARS))
+        unit_x[:, BIAS_VARS[0]] = 0.6
+        unit_x[3, BIAS_VARS[0]] = 0.0
+        stacked = make()
+        assert stacked.corners.n_corners == 18
+        figures = stacked.evaluate_batch(unit_x)
+        assert figures.n_quarantined.tolist() == [0, 0, 0, 1, 0]
+        assert stacked.n_sweeps == 5
+        assert stacked.n_corner_evals == 90
+        for i in range(unit_x.shape[0]):
+            alone = make().evaluate_batch(unit_x[i:i + 1])
+            for name in ("yield_fraction", "nf_worst_db", "gt_worst_db",
+                         "mu_worst", "n_quarantined"):
+                assert getattr(figures, name)[i] == getattr(alone, name)[0]
 
     def test_state_restore_is_bit_for_bit(self, template):
         a = _evaluator(template, n_mc_trials=4, seed=0,
