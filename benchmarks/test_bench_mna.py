@@ -1,11 +1,10 @@
 """Bench: the compiled condensed MNA solve vs the scalar path.
 
-Times a 64-candidate population through ``CompiledTemplate`` over the
-fused design+guard grid (17 + 24 points) — once on a random population
-(full refactorization of the condensed system) and once on a bias-only
-batch (the Woodbury low-rank update) — against the same 64 rows
-through the scalar reference ``AmplifierTemplate.evaluate``, which
-rebuilds and solves the full circuit per candidate.  Writes
+Times a 64-candidate random population through ``CompiledTemplate``
+over the fused design+guard grid (17 + 24 points), which refactorizes
+every candidate's condensed system, against the same 64 rows through
+the scalar reference ``AmplifierTemplate.evaluate``, which rebuilds
+and solves the full circuit per candidate.  Writes
 ``BENCH_mna_sparse.json``.  The condensed solve compiles the LNA's
 stamp structure into a 13x13 reduced system with two adjoint columns;
 the acceptance bar is >= 5x over the scalar loop at equal answers
@@ -47,9 +46,6 @@ def test_bench_mna_sparse(save_report, report_dir, host_context):
     engine = CompiledTemplate(template, verify=False)
     rng = np.random.default_rng(20150901)
     population = rng.random((N_CANDIDATES, len(DesignVariables.NAMES)))
-    bias_only = np.tile(np.full(len(DesignVariables.NAMES), 0.5),
-                        (N_CANDIDATES, 1))
-    bias_only[:, 0] = np.linspace(0.25, 0.75, N_CANDIDATES)
     designs = [DesignVariables.from_unit(u) for u in population]
 
     def scalar_loop():
@@ -60,14 +56,10 @@ def test_bench_mna_sparse(save_report, report_dir, host_context):
     # buffers and allocator pools exist before timing starts.
     for _ in range(3):
         engine.performance_batch(population)
-    assert engine._plan.last_update == "full"
-    engine.performance_batch(bias_only)
-    assert engine._plan.last_update == "woodbury"
     scalar_loop()
-    t_scalar, t_condensed, t_woodbury = _best_of_interleaved([
+    t_scalar, t_condensed = _best_of_interleaved([
         scalar_loop,
         lambda: engine.performance_batch(population),
-        lambda: engine.performance_batch(bias_only),
     ])
 
     speedup = t_scalar / t_condensed
@@ -78,11 +70,9 @@ def test_bench_mna_sparse(save_report, report_dir, host_context):
         "n_nodes": int(engine._n_nodes),
         "scalar_s": t_scalar,
         "condensed_s": t_condensed,
-        "woodbury_bias_batch_s": t_woodbury,
         "scalar_candidates_per_s": N_CANDIDATES / t_scalar,
         "condensed_candidates_per_s": N_CANDIDATES / t_condensed,
         "speedup_condensed_vs_scalar": speedup,
-        "speedup_woodbury_vs_scalar": t_scalar / t_woodbury,
         "host": host_context(),
     }
     (report_dir / "BENCH_mna_sparse.json").write_text(
@@ -97,8 +87,6 @@ def test_bench_mna_sparse(save_report, report_dir, host_context):
         f"condensed : {1e3 * t_condensed:7.1f} ms "
         f"({N_CANDIDATES / t_condensed:7.1f} candidates/s)  "
         f"speedup {speedup:.2f}x",
-        f"woodbury  : {1e3 * t_woodbury:7.1f} ms "
-        f"(bias-only batch)  speedup {t_scalar / t_woodbury:.2f}x",
     ])
     save_report("BENCH_mna_sparse", report)
     print("\n" + report)

@@ -72,11 +72,10 @@ def observe_residual(value: float, where: str) -> None:
     """Sample one relative residual into the ``<where>.residual_log10``
     histogram (no-op with guards off).
 
-    Used by the sparse solver's low-rank update path: the distribution
-    of a-posteriori residuals tells a run how close its Woodbury
-    updates sail to the refactorization threshold.  Zero (an exactly
-    satisfied system) clamps to the histogram floor instead of
-    ``-inf``; non-finite residuals clamp to the ceiling.
+    Nothing in the package calls it: it is kept only as the name the
+    e2e layer tracer patches in :mod:`repro.analysis.sparsemna`.  Zero
+    (an exactly satisfied system) clamps to the histogram floor instead
+    of ``-inf``; non-finite residuals clamp to the ceiling.
     """
     if not _guard_modes.enabled():
         return

@@ -21,13 +21,6 @@ candidates of one topology.  This module compiles that structure away:
   the few output columns and contracting ``w^T @ rhs_red`` replaces a
   K-column forward solve with an ``n_out``-column one (K ~ 28 noise +
   port columns vs. ``n_out = 2`` ports for the LNA).
-* **Sherman-Morrison / Woodbury low-rank updates.**  When only a few
-  stamp groups differ across the batch (bias corners, single-element
-  sweeps), ``M_i^T = M_0^T + U diag(d_i) V^T`` with one rank-1 factor
-  pair per active group; the batch then costs one reference
-  factorization plus tiny ``(r, r)`` solves.  An exact a-posteriori
-  residual — computable entirely in the low-rank factors — falls any
-  ill-conditioned candidate back to full numeric refactorization.
 
 The plan assembles the *transposed* reduced system directly (scatter at
 swapped coordinates), so no ``(B, F, m, m)`` transpose copy is ever
@@ -53,23 +46,15 @@ try:  # scipy is a declared dependency; tolerate its absence anyway.
 except ImportError:  # pragma: no cover - scipy ships with the package
     _HAVE_SPLU = False
 
-from repro.analysis.conditioning import observe_residual
-from repro.obs import metrics as _obs_metrics
+# Unused here; the e2e layer tracer (benchmarks/e2e/layers.py) patches it.
+from repro.analysis.conditioning import observe_residual  # noqa: F401
 
 __all__ = [
     "PatternError",
     "MutableGroup",
     "SparsePlan",
     "build_plan",
-    "WOODBURY_RESIDUAL_TOL",
 ]
-
-#: Relative residual above which a Woodbury-updated candidate is
-#: refactorized in full.  The residual check is exact (computed in the
-#: low-rank factors, see :meth:`SparsePlan.solve_rows`), so this is a
-#: pure accuracy/speed knob: candidates under the threshold agree with
-#: full refactorization to well below the 1e-9 solver contract.
-WOODBURY_RESIDUAL_TOL = 1e-10
 
 
 class PatternError(RuntimeError):
@@ -107,7 +92,9 @@ class _LocalGroup:
     lcols: np.ndarray
     signs: np.ndarray
     # Rank-1 factors of the *transposed* stamp, M^T += coeff * u @ v^T,
-    # or None when the group's stamp matrix has rank > 1.
+    # or None when the group's stamp matrix has rank > 1.  The solve
+    # does not use them; they are kept for exact adjoint sensitivities
+    # (d(e_out^T x)/dc_g = -(w^T a_g)(b_g^T x), ROADMAP item 6).
     u_t: Optional[np.ndarray]
     v_t: Optional[np.ndarray]
 
@@ -154,8 +141,8 @@ def _rank1_factors(lrows, lcols, signs, m):
     The group stamps ``P = sum signs e_r e_c^T`` into ``M``; when P has
     rank 1 it factors as ``a b^T``, so ``M^T`` gains
     ``coeff * b a^T`` — returned as ``(u_t, v_t) = (b, a)``.  Returns
-    ``None`` for genuinely higher-rank groups (Woodbury then skips the
-    plan's low-rank path).
+    ``None`` for genuinely higher-rank groups, which have no
+    single-vector sensitivity form.
     """
     pattern = np.zeros((m, m))
     np.add.at(pattern, (lrows, lcols), signs)
@@ -179,8 +166,7 @@ class SparsePlan:
     """
 
     def __init__(self, n_nodes, external, internal, groups, schur_t,
-                 rhs_red, e_out, h_out=None,
-                 residual_tol=WOODBURY_RESIDUAL_TOL):
+                 rhs_red, e_out, h_out=None):
         self.n_nodes = int(n_nodes)
         self.external = external            # (m,) global node indices
         self.internal = internal            # (n - m,) global node indices
@@ -189,13 +175,6 @@ class SparsePlan:
         self._rhs_red = rhs_red             # (F, m, K)
         self._e_out = e_out                 # (F, m, n_out) adjoint columns
         self._h_out = h_out                 # (F, n_out, K) offset, or None
-        # Adjoint columns for condensed-out rows are rows of A^-1 B, not
-        # unit vectors; the Woodbury residual normalizes by their size.
-        self._res_scale = max(1.0, float(np.max(np.abs(e_out))))
-        self.residual_tol = float(residual_tol)
-        #: Which update strategy the last :meth:`solve_rows` used
-        #: (``"full"`` or ``"woodbury"``); diagnostic only.
-        self.last_update: Optional[str] = None
         # Assembly scratch, keyed by batch size: the (B, F, m, m)
         # buffer never escapes a solve, so reusing it saves the
         # dominant allocation of the per-batch hot path.  It is kept
@@ -256,44 +235,17 @@ class SparsePlan:
         return mt.T.copy()
 
     # -- solving -------------------------------------------------------------
-    def solve_rows(self, coeffs, n_batch: int,
-                   update: str = "full") -> np.ndarray:
+    def solve_rows(self, coeffs, n_batch: int) -> np.ndarray:
         """Port/probe rows of ``Y^-1 @ rhs`` for a candidate batch.
 
         *coeffs* maps group name -> ``(B, F)`` (or broadcast ``(F,)``)
-        complex coefficients.  Returns ``(B, F, n_out, K)``.  *update*
-        selects the numeric strategy:
-
-        * ``"full"`` — refactorize every candidate's reduced system;
-        * ``"woodbury"`` — low-rank update from candidate 0's
-          factorization (requires rank-1 groups; ill-conditioned
-          candidates are residual-checked and refactorized in full);
-        * ``"auto"`` — Woodbury when few enough groups are *active*
-          (differ across the batch) to win, full otherwise.  The choice
-          depends only on the coefficient values, never on timing, so
-          identical batches resolve identically in every process.
+        complex coefficients.  Returns ``(B, F, n_out, K)``: every
+        candidate's reduced system is refactorized, then the adjoint
+        solution is contracted with the condensed right-hand sides.
 
         Raises ``numpy.linalg.LinAlgError`` when a reduced system is
         singular, mirroring the dense kernel.
         """
-        if update not in ("full", "woodbury", "auto"):
-            raise ValueError(
-                f"update must be 'full', 'woodbury', or 'auto', "
-                f"got {update!r}"
-            )
-        if update in ("woodbury", "auto"):
-            w = self._solve_woodbury(coeffs, n_batch,
-                                     required=update == "woodbury")
-            if w is None:
-                w = self._solve_full(coeffs, n_batch)
-        else:
-            w = self._solve_full(coeffs, n_batch)
-        out = np.swapaxes(w, -1, -2) @ self._rhs_red
-        if self._h_out is not None:
-            out = out + self._h_out
-        return out
-
-    def _solve_full(self, coeffs, n_batch: int) -> np.ndarray:
         mt = self._assemble_t(coeffs, n_batch)
         # LAPACK dispatch on tiny matrices is overhead-bound: a flat
         # 3-D batch with a contiguous right-hand side solves ~1.5x
@@ -309,111 +261,10 @@ class SparsePlan:
         w = np.linalg.solve(
             mt.reshape(n_batch * self.n_freq, m, m), rhs
         ).reshape(n_batch, self.n_freq, m, self.n_out)
-        self.last_update = "full"
-        return w
-
-    def _active_groups(self, coeffs, n_batch: int):
-        """Groups whose coefficient differs from candidate 0's, plus
-        the per-group ``(B, F)`` deltas."""
-        active, deltas = [], []
-        for group in self._groups:
-            c = np.asarray(coeffs[group.name], dtype=complex)
-            if c.ndim == 1 or c.shape[0] == 1:
-                continue  # shared across the batch: never a delta
-            delta = c - c[:1]
-            if np.any(delta != 0):
-                active.append(group)
-                # Coefficients may be (B, 1) (frequency-flat values,
-                # e.g. conductances) or (B, F); the update stacks them
-                # on one frequency axis.
-                deltas.append(np.broadcast_to(
-                    delta, (delta.shape[0], self.n_freq)
-                ))
-        return active, deltas
-
-    def _solve_woodbury(self, coeffs, n_batch: int,
-                        required: bool) -> Optional[np.ndarray]:
-        """The low-rank update path; ``None`` defers to the full solve.
-
-        ``M_i^T = M_0^T + U diag(d_i) V^T`` with one rank-1 factor pair
-        per active group.  The relative residual of every candidate is
-        computed *exactly* in the low-rank factors —
-        ``E - M_i^T W_i = U (t - D b + D G t)`` with ``t = D s`` — so an
-        ill-conditioned small system cannot silently poison a row:
-        offending candidates are refactorized in full and spliced back.
-        """
-        m = self.n_reduced
-        active, deltas = self._active_groups(coeffs, n_batch)
-        rank = len(active)
-        if any(group.u_t is None for group in active):
-            return None  # a higher-rank group: no low-rank structure
-        if rank == 0:
-            # Degenerate batch (all candidates identical): the full
-            # assembly collapses to one system per frequency anyway.
-            return None
-        if not required and 2 * rank > m:
-            return None  # too many active groups for the update to win
-
-        # Reference factorization: candidate 0's reduced systems carry
-        # both the adjoint columns and the update factors in one solve.
-        ref = {name: np.asarray(c, dtype=complex)[:1]
-               if np.asarray(c).ndim > 1 else np.asarray(c, dtype=complex)
-               for name, c in coeffs.items()}
-        m0t = self._assemble_t(ref, 1)[0]                   # (F, m, m)
-        u_fac = np.stack([g.u_t for g in active], axis=1)   # (m, r)
-        v_fac = np.stack([g.v_t for g in active], axis=1)   # (m, r)
-        n_freq = self.n_freq
-        u_cols = np.broadcast_to(
-            u_fac, (n_freq,) + u_fac.shape
-        )
-        try:
-            sol0 = np.linalg.solve(
-                m0t, np.concatenate([self._e_out, u_cols], axis=-1)
-            )
-        except np.linalg.LinAlgError:
-            if required:
-                raise
-            _obs_metrics.inc("mna.woodbury_fallbacks")
-            return None
-        n_out = self.n_out
-        w0 = sol0[..., :n_out]                              # (F, m, n_out)
-        zu = sol0[..., n_out:]                              # (F, m, r)
-        v_t = v_fac.T
-        g_small = v_t @ zu                                  # (F, r, r)
-        b_small = v_t @ w0                                  # (F, r, n_out)
-        d = np.stack(deltas, axis=-1)                       # (B, F, r)
-
-        a_small = np.eye(rank) + g_small * d[..., None, :]
-        try:
-            s_small = np.linalg.solve(a_small, b_small)     # (B, F, r, n_out)
-        except np.linalg.LinAlgError:
-            # A singular capacitance system: the update is invalid for
-            # at least one candidate; refactorize the batch in full.
-            _obs_metrics.inc("mna.woodbury_fallbacks", n_batch)
-            return self._solve_full(coeffs, n_batch)
-        t = d[..., :, None] * s_small
-        w = w0 - zu @ t                                     # (B, F, m, n_out)
-
-        # Exact a-posteriori residual of M_i^T W_i = E, assembled from
-        # the small factors only (zero in exact arithmetic).
-        q = t - d[..., :, None] * b_small + d[..., :, None] * (g_small @ t)
-        res = u_fac @ q                                     # (B, F, m, n_out)
-        with np.errstate(invalid="ignore"):
-            rel = np.max(
-                np.abs(res).reshape(n_batch, -1), axis=1
-            ) / self._res_scale  # scaled by the adjoint columns' size
-        observe_residual(float(np.max(rel)), "mna.woodbury")
-        bad = ~(rel <= self.residual_tol)  # catches NaN as bad
-        if np.any(bad):
-            _obs_metrics.inc("mna.woodbury_fallbacks", int(np.sum(bad)))
-            idx = np.flatnonzero(bad)
-            sub = {name: np.asarray(c, dtype=complex)[idx]
-                   if np.asarray(c).ndim > 1 else c
-                   for name, c in coeffs.items()}
-            w[idx] = self._solve_full(sub, idx.size)
-        _obs_metrics.inc("mna.woodbury_solves", int(n_batch - np.sum(bad)))
-        self.last_update = "woodbury"
-        return w
+        out = np.swapaxes(w, -1, -2) @ self._rhs_red
+        if self._h_out is not None:
+            out = out + self._h_out
+        return out
 
 
 def build_plan(
@@ -423,7 +274,6 @@ def build_plan(
     z0: float,
     rhs: np.ndarray,
     out_rows: Sequence[int],
-    residual_tol: float = WOODBURY_RESIDUAL_TOL,
 ) -> SparsePlan:
     """Compile one topology's condensed solve plan.
 
@@ -548,5 +398,5 @@ def build_plan(
     return SparsePlan(
         n_nodes, external, internal, lowered,
         np.ascontiguousarray(np.swapaxes(schur, -1, -2)),
-        rhs_red, e_out, h_out=h_out, residual_tol=residual_tol,
+        rhs_red, e_out, h_out=h_out,
     )

@@ -636,8 +636,7 @@ class CompiledTemplate:
         # One condensed adjoint solve of the whole fused axis; the noise
         # columns ride in the precomputed reduced RHS.
         try:
-            v_ports = self._plan.solve_rows(admittances, n_batch,
-                                            update="auto")
+            v_ports = self._plan.solve_rows(admittances, n_batch)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 "singular circuit (floating node or degenerate "
@@ -659,15 +658,8 @@ class CompiledTemplate:
         Matches ``[template.evaluate(DesignVariables.from_unit(u), band,
         guard) for u in unit_x]`` to ~1e-10.
         """
-        unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
-        with _obs_tracer.span("engine.performance_batch",
-                              batch=unit_x.shape[0]):
-            s, cy_band, ids = self.solve_batch(self._to_physical(unit_x))
-            figures = self._figures(s, cy_band, ids)
-        _obs_metrics.inc("engine.batch_solves")
-        _obs_metrics.inc("engine.candidates", unit_x.shape[0])
-        self._guard_batch_figures(figures)
-        return figures
+        return self.performance_batch_physical(
+            self._to_physical(np.atleast_2d(np.asarray(unit_x, dtype=float))))
 
     def performance_batch_physical(self, x_physical: np.ndarray
                                    ) -> BatchPerformance:
@@ -954,8 +946,7 @@ class CompiledTemplate:
         failed = np.zeros(n_batch, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
-                v_ports = self._plan.solve_rows(admittances, n_batch,
-                                                update="auto")
+                v_ports = self._plan.solve_rows(admittances, n_batch)
             except np.linalg.LinAlgError:
                 _obs_metrics.inc("mna.batch_refactorizations")
                 v_ports = np.full(
@@ -964,8 +955,7 @@ class CompiledTemplate:
                 for i in range(n_batch):
                     row = {k: v[i:i + 1] for k, v in admittances.items()}
                     try:
-                        v_ports[i] = self._plan.solve_rows(
-                            row, 1, update="auto")[0]
+                        v_ports[i] = self._plan.solve_rows(row, 1)[0]
                     except np.linalg.LinAlgError:
                         failed[i] = True
             s, cy_band = self._sparse_figures(v_ports, n_batch,

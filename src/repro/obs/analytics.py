@@ -20,9 +20,9 @@ replaying every journal on every question.  Three layers:
 * :class:`FleetView` — queries over the indexed entries: filters by
   algorithm / experiment / config fingerprint / outcome, fleet
   roll-ups (failure taxonomy, guard violations, cache-hit and
-  Woodbury-engagement and equilibrated-rescue rates, backend/solver
-  decision tallies), aggregate convergence envelopes (per-generation
-  median/IQR resampled onto a common grid), and ``nearest_runs`` —
+  equilibrated-rescue rates, backend/solver decision tallies),
+  aggregate convergence envelopes (per-generation median/IQR
+  resampled onto a common grid), and ``nearest_runs`` —
   config-distance matching that powers warm starts.
 * **Warm starts** — :func:`warm_start_population` finds the nearest
   archived run that journaled a ``final_population`` event (the
@@ -547,16 +547,11 @@ class FleetView:
 
         cache_hits = total("evaluator.cache_hits")
         cache_misses = total("evaluator.cache_misses")
-        woodbury = total("mna.woodbury_solves")
-        woodbury_fallbacks = total("mna.woodbury_fallbacks")
-        batch_solves = total("engine.batch_solves")
         screened = total("robust.screened")
         corner_evals = total("robust.corner_evals")
         return {
             "cache_hit_rate": _rate(cache_hits,
                                     cache_hits + cache_misses),
-            "woodbury_engagement": _rate(
-                woodbury, woodbury + woodbury_fallbacks + batch_solves),
             "equilibrated_rescues": total("mna.equilibrated_rescues")
             + total("dc.equilibrated_rescues"),
             "screen_fraction": _rate(screened, screened + corner_evals),

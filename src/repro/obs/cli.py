@@ -257,7 +257,6 @@ def _cmd_fleet_summary(args) -> int:
           f"guard violations {failures['guard_violations']:g}")
     rates = summary["rates"]
     for label, key in (("cache hit rate", "cache_hit_rate"),
-                       ("woodbury engagement", "woodbury_engagement"),
                        ("screen fraction", "screen_fraction")):
         value = rates[key]
         if value is not None:

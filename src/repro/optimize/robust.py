@@ -162,22 +162,6 @@ class CornerSet:
     def __len__(self) -> int:
         return self.n_corners
 
-    @property
-    def is_bias_only(self) -> bool:
-        """True when only the bias columns are perturbed (offset-only).
-
-        Such a corner batch varies only the ``vgs``/``vds`` admittance
-        groups of one candidate, the low-rank structure the sparse
-        tier's Woodbury update exploits when the batch is swept alone
-        (:class:`RobustEvaluator` stacks several candidates, whose rows
-        then differ in every group and are refactorized in full).
-        """
-        if not np.allclose(self.scale, 1.0, rtol=0.0, atol=0.0):
-            return False
-        passive = np.ones(self.n_vars, dtype=bool)
-        passive[list(BIAS_VARS)] = False
-        return not np.any(self.offset[:, passive])
-
     def apply(self, x_physical: np.ndarray) -> np.ndarray:
         """The ``(C, n)`` corner matrix of one physical design vector."""
         x_physical = np.asarray(x_physical, dtype=float)
@@ -445,7 +429,8 @@ class RobustEvaluator:
     The corner sets of all shortlisted candidates of one batch are
     stacked into one ``(n_short * C, n)`` physical matrix and swept by
     one ``performance_batch_physical_isolated`` call, which the engine
-    factorizes in fixed 64-row blocks; the figures are then reduced
+    refactorizes in full in fixed 64-row blocks (no corner reuses
+    another's factorization); the figures are then reduced
     per candidate on an ``(n_short, C)`` reshape.  A corner whose solve
     fails quarantines through the standard failure taxonomy: it counts
     as a yield fail, worst-case figures are taken over the healthy

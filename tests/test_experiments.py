@@ -56,6 +56,7 @@ class TestLightExperiments:
                                               de_iterations=40)
         rates = {row["method"]: row["success_rate"] for row in result.rows}
         assert rates["three-step (paper)"] >= rates["local only"]
+        assert rates["three-step (paper)"] > rates["DE only"]
         assert rates["three-step (paper)"] == 1.0
         report = e2_extraction_robustness.format_report(result)
         assert "Table II" in report

@@ -3,8 +3,7 @@
 Contracts under test:
 
 * :class:`CornerSet` — construction, validation, composition, the
-  physical-space ``apply`` map, and the Woodbury-eligible bias-only
-  structure actually taking the sparse tier's low-rank path;
+  physical-space ``apply`` map, and the offset-only bias book;
 * :class:`QuadraticSurrogate` — deterministic ridge fits, the
   ready-gate, history cap, and bit-identical state round-trips;
 * :class:`RobustEvaluator` — batched sweeps, surrogate pre-screening
@@ -104,9 +103,15 @@ class TestCornerSet:
         assert low[DesignVariables.NAMES.index("c_in")] == 1.0
 
     def test_bias_corners_are_bias_only_and_tolerances_are_not(self):
-        assert CornerSet.bias().is_bias_only
-        assert not CornerSet.from_tolerances().is_bias_only
-        assert not CornerSet.temperature().is_bias_only
+        bias = CornerSet.bias()
+        np.testing.assert_array_equal(bias.scale, 1.0)
+        passive = np.ones(N_VARS, dtype=bool)
+        passive[list(BIAS_VARS)] = False
+        assert not np.any(bias.offset[:, passive])
+        assert np.all(bias.offset[:, list(BIAS_VARS)] != 0.0)
+        for corners in (CornerSet.from_tolerances(),
+                        CornerSet.temperature()):
+            assert np.any(corners.scale[:, passive] != 1.0)
 
     def test_composition_concatenates(self):
         combined = CornerSet.from_tolerances() + CornerSet.bias()
@@ -147,14 +152,6 @@ class TestCornerSet:
                                          np.zeros((1, 3)))
         with pytest.raises(ValueError, match="physical vector"):
             CornerSet.bias().apply(np.ones(3))
-
-
-def test_bias_only_sweep_takes_woodbury_path(template):
-    engine = CompiledTemplate(template, design_grid(9), stability_grid(12),
-                              verify=False)
-    corner_x = CornerSet.bias().apply(DesignVariables().to_vector())
-    engine.performance_batch_physical(corner_x)
-    assert engine._plan.last_update == "woodbury"
 
 
 def _failure_key(failure):
@@ -201,8 +198,8 @@ def test_scalar_rescue_in_a_later_block_decodes_its_own_row(monkeypatch,
     plan = engine._plan
     real = plan.solve_rows
 
-    def poisoned(coeffs, n_batch, update="full"):
-        out = real(coeffs, n_batch, update=update)
+    def poisoned(coeffs, n_batch):
+        out = real(coeffs, n_batch)
         if n_batch == 6:  # the second block: rows 64..69
             out = np.array(out)
             out[2] = np.nan  # row 66

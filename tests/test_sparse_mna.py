@@ -7,8 +7,8 @@ detaches, the engine survives pickling, the paper's design pipeline
 agrees with the scalar oracle, guards sample the reduced matrix, rows
 the condensed batch cannot solve are rescued one at a time and then by
 the scalar path, an uncondensable template is a ``CompileError``, and
-the Woodbury residual check falls ill-conditioned candidates back to
-full refactorization.
+the plan has one numeric strategy: every candidate's reduced system is
+refactorized in full, with no update or residual-tolerance knob.
 """
 
 import pickle
@@ -184,8 +184,8 @@ def test_sparse_isolated_splices_scalar_rescue(monkeypatch, fresh_metrics,
     plan = sparse_engine._plan
     real = plan.solve_rows
 
-    def poisoned(coeffs, n_batch, update="full"):
-        out = real(coeffs, n_batch, update=update)
+    def poisoned(coeffs, n_batch):
+        out = real(coeffs, n_batch)
         if n_batch == 4:
             out = np.array(out)
             out[1] = np.nan
@@ -220,10 +220,10 @@ def test_singular_batch_is_resolved_row_by_row(monkeypatch, fresh_metrics,
     bad_rstab = sparse_engine._candidate_values(
         sparse_engine._to_physical(pop[3:4]))[0]["Rstab"]
 
-    def singular(coeffs, n_batch, update="full"):
+    def singular(coeffs, n_batch):
         if n_batch > 1 or np.array_equal(coeffs["Rstab"], bad_rstab):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(coeffs, n_batch, update=update)
+        return real(coeffs, n_batch)
 
     monkeypatch.setattr(plan, "solve_rows", singular)
     batch, failures, n_fallbacks = (
@@ -263,59 +263,25 @@ def test_uncondensable_template_falls_back_to_scalar(monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# Woodbury update path
+# one numeric strategy
 # ----------------------------------------------------------------------
 
-def _toy_plan(residual_tol=None):
-    rng = np.random.default_rng(0)
-    n, n_freq = 5, 3
-    base = (rng.normal(size=(n_freq, n, n))
-            + 1j * rng.normal(size=(n_freq, n, n))) * 0.01
-    idx = np.arange(n)
-    base[:, idx, idx] += 0.2
-    group = MutableGroup("g23", np.array([2, 3, 2, 3]),
-                         np.array([2, 3, 3, 2]),
+def test_plan_has_no_update_or_residual_knobs():
+    """The low-rank update tier is gone: ``solve_rows`` always
+    refactorizes, and neither its strategy nor a residual tolerance
+    can be passed."""
+    n_freq = 3
+    base = np.tile(np.diag([0.2, 0.2, 0.1]).astype(complex), (n_freq, 1, 1))
+    group = MutableGroup("g02", np.array([0, 2, 0, 2]),
+                         np.array([0, 2, 2, 0]),
                          np.array([1.0, 1.0, -1.0, -1.0]))
-    rhs = np.zeros((n, 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
-    kwargs = {}
-    if residual_tol is not None:
-        kwargs["residual_tol"] = residual_tol
-    plan = build_plan(base, [group], np.array([0, 1]), 50.0, rhs,
-                      out_rows=[0, 1], **kwargs)
-    coeffs = {"g23": rng.uniform(1e-3, 5e-2, size=(6, 1))
+    rhs = np.eye(3, 2, dtype=complex)
+    args = (base, [group], PORTS, 50.0, rhs, [0, 1])
+    plan = build_plan(*args)
+    coeffs = {"g02": np.linspace(1e-3, 5e-2, 4)[:, None]
               * np.ones((1, n_freq))}
-    return plan, coeffs
-
-
-def test_engine_bias_only_batch_uses_woodbury(sparse_engine):
-    n = len(DesignVariables.NAMES)
-    pop = np.tile(np.full(n, 0.5), (6, 1))
-    pop[:, 0] = np.linspace(0.3, 0.7, 6)  # vary the bias only
-    sparse_engine.performance_batch(pop)
-    assert sparse_engine._plan.last_update == "woodbury"
-    # A fully random population activates too many groups for the
-    # update to win; auto must refactorize instead.
-    sparse_engine.performance_batch(
-        np.random.default_rng(2).random((6, n))
-    )
-    assert sparse_engine._plan.last_update == "full"
-
-
-def test_woodbury_residual_fallback_refactorizes(fresh_metrics):
-    plan, coeffs = _toy_plan()
-    full = plan.solve_rows(coeffs, 6, update="full")
-    wood = plan.solve_rows(coeffs, 6, update="woodbury")
-    assert plan.last_update == "woodbury"
-    np.testing.assert_allclose(wood, full, rtol=1e-10, atol=1e-14)
-    assert fresh_metrics.counter("mna.woodbury_solves") == 6
-
-    # An impossible residual tolerance forces the splice path: every
-    # candidate is flagged and refactorized in full, and the answers
-    # still come out right.
-    strict_plan, _ = _toy_plan(residual_tol=0.0)
-    spliced = strict_plan.solve_rows(coeffs, 6, update="woodbury")
-    assert strict_plan.last_update == "woodbury"
-    np.testing.assert_allclose(spliced, full, rtol=1e-12, atol=1e-15)
-    assert fresh_metrics.counter("mna.woodbury_fallbacks") >= 5
+    assert plan.solve_rows(coeffs, 4).shape == (4, n_freq, 2, 2)
+    with pytest.raises(TypeError):
+        plan.solve_rows(coeffs, 4, update="full")
+    with pytest.raises(TypeError):
+        build_plan(*args, residual_tol=1e-10)
