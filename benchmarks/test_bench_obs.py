@@ -49,9 +49,7 @@ def test_bench_disabled_tracing_overhead(save_report, report_dir):
     population = rng.random((N_CANDIDATES, len(DesignVariables.NAMES)))
 
     def bare():
-        engine._batch_isolated(
-            engine._to_physical(population), population,
-            lambda i: DesignVariables.from_unit(population[i]))
+        engine._batch_isolated(engine._to_physical(population), population)
 
     def instrumented():
         engine.performance_batch_isolated(population)

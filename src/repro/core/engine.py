@@ -200,9 +200,10 @@ class CompiledTemplate:
     (:mod:`repro.analysis.sparsemna`): the candidate-independent block
     is LU-factorized once per topology per frequency with a shared CSC
     pattern, and per candidate only the small reduced system is
-    refactorized (or Sherman-Morrison-updated when few stamp groups
-    vary).  A template whose constant block cannot be condensed raises
-    :class:`CompileError`.
+    refactorized.  A template whose constant block cannot be condensed
+    raises :class:`CompileError`.  Every ``performance*`` entry point
+    runs the fault-isolated solve, so one bad candidate yields penalty
+    figures instead of sinking its batch.
 
     Parameters
     ----------
@@ -520,8 +521,7 @@ class CompiledTemplate:
         return s, cy
 
     # -- per-candidate values ----------------------------------------------
-    def _candidate_values(self, x_physical: np.ndarray,
-                          bad_bias: str = "raise"):
+    def _candidate_values(self, x_physical: np.ndarray):
         """Vectorized element values for a (B, n_vars) design matrix.
 
         Returns ``(admittances, scalar_psds, block_psds, ids, bad_mask)``
@@ -529,13 +529,9 @@ class CompiledTemplate:
         maps noise-source name -> (B, 1) or (B, F), block_psds maps
         YBlock name -> (B, F, 2, 2), and bad_mask is a (B,) bool array
         flagging candidates whose bias point is unusable (``gds <= 0``
-        or non-finite small-signal parameters).
-
-        ``bad_bias="raise"`` (the default, used by :meth:`solve_batch`)
-        raises ``ValueError`` when any candidate is flagged;
-        ``bad_bias="mask"`` substitutes a benign placeholder bias for
-        the flagged rows — keeping the tensor solvable for the healthy
-        rows — and leaves the caller to overwrite them with penalties.
+        or non-finite small-signal parameters).  The flagged rows get a
+        benign placeholder bias, which keeps the tensor solvable for the
+        healthy rows; the caller overwrites them with penalties.
         """
         index = {name: k for k, name in enumerate(DesignVariables.NAMES)}
         col = lambda name: x_physical[:, index[name]]  # noqa: E731
@@ -591,15 +587,6 @@ class CompiledTemplate:
             | (np.nan_to_num(gds, nan=-1.0) <= 0)
         )
         if np.any(bad_mask):
-            if bad_bias != "mask":
-                bad = np.flatnonzero(bad_mask)
-                raise ValueError(
-                    f"candidates {bad.tolist()} bias the device outside "
-                    "the saturated forward region (gds <= 0)"
-                )
-            # Placeholder bias keeps the stamped tensor well-defined for
-            # the healthy rows; the flagged rows are overwritten with
-            # penalty figures by performance_batch_isolated.
             gm = np.where(bad_mask, 0.0, gm)
             gds = np.where(bad_mask, 1e-3, gds)
             ids = np.where(bad_mask, 0.0, ids)
@@ -618,88 +605,7 @@ class CompiledTemplate:
         scalar_psds["Q_ind"] = (2.0 * BOLTZMANN * td * gds)[:, None]
         return admittances, scalar_psds, block_psds, ids, bad_mask
 
-    # -- solving ------------------------------------------------------------
-    def solve_batch(self, x_physical: np.ndarray):
-        """Fused-grid batch solve for (B, n_vars) physical design vectors.
-
-        Returns ``(s, cy_band, ids)``: S-parameters ``(B, F_fused, 2, 2)``
-        over the fused band+guard axis, the port noise correlation on
-        the design band only (``(B, n_band, 2, 2)`` — the guard grid
-        feeds the stability margin, which needs no noise), and the
-        drain bias currents ``(B,)``.
-        """
-        x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
-        n_batch = x_physical.shape[0]
-        admittances, scalar_psds, block_psds, ids, _ = (
-            self._candidate_values(x_physical)
-        )
-        # One condensed adjoint solve of the whole fused axis; the noise
-        # columns ride in the precomputed reduced RHS.
-        try:
-            v_ports = self._plan.solve_rows(admittances, n_batch)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "singular circuit (floating node or degenerate "
-                f"element): {exc}"
-            ) from None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                              scalar_psds, block_psds)
-        return s, cy_band, ids
-
-    @staticmethod
-    def _to_physical(unit_x: np.ndarray) -> np.ndarray:
-        lower, upper = DesignVariables.LOWER, DesignVariables.UPPER
-        return lower + np.clip(unit_x, 0.0, 1.0) * (upper - lower)
-
-    def performance_batch(self, unit_x: np.ndarray) -> BatchPerformance:
-        """Figures of merit for a (B, n_vars) batch of unit-box vectors.
-
-        Matches ``[template.evaluate(DesignVariables.from_unit(u), band,
-        guard) for u in unit_x]`` to ~1e-10.
-        """
-        return self.performance_batch_physical(
-            self._to_physical(np.atleast_2d(np.asarray(unit_x, dtype=float))))
-
-    def performance_batch_physical(self, x_physical: np.ndarray
-                                   ) -> BatchPerformance:
-        """Figures of merit for a (B, n_vars) batch of *physical* vectors.
-
-        Unlike :meth:`performance_batch` no unit-box clip is applied:
-        robust corner sweeps legitimately evaluate component values
-        outside the optimization box (a +5 % inductor above ``UPPER``
-        is still a buildable board).  Matches
-        ``[template.evaluate(DesignVariables.from_vector(v), band,
-        guard) for v in x_physical]`` to ~1e-10.
-        """
-        x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
-        with _obs_tracer.span("engine.performance_batch",
-                              batch=x_physical.shape[0]):
-            s, cy_band, ids = self.solve_batch(x_physical)
-            figures = self._figures(s, cy_band, ids)
-        _obs_metrics.inc("engine.batch_solves")
-        _obs_metrics.inc("engine.candidates", x_physical.shape[0])
-        self._guard_batch_figures(figures)
-        return figures
-
-    @staticmethod
-    def _guard_batch_figures(figures: BatchPerformance) -> None:
-        if not _guard_modes.enabled():
-            return
-        # Physical-sanity contract on the reported figures.  The
-        # check is read-only: strict mode raises, warn mode counts
-        # and warns — the returned values are bit-for-bit those of
-        # the unguarded path either way.
-        bad = _contracts.noise_figure_violation_mask(figures.nf_db)
-        if np.any(bad):
-            rows = np.flatnonzero(bad)
-            _contracts.report_violation(
-                "performance",
-                f"candidates {rows.tolist()} report NF < 0 dB "
-                f"(min {float(np.min(figures.nf_db[rows])):.3e} dB): "
-                f"negative noise power is unphysical",
-            )
-
+    # -- figures of merit ---------------------------------------------------
     def _figures(self, s: np.ndarray, cy_band: np.ndarray,
                  ids: np.ndarray) -> BatchPerformance:
         """Figures of merit from solved S-parameters and noise data."""
@@ -744,13 +650,42 @@ class CompiledTemplate:
             gt_ripple_db=np.max(gt_db, axis=1) - np.min(gt_db, axis=1),
         )
 
+    # -- entry points: every one runs the fault-isolated solve -------------
+    @staticmethod
+    def _to_physical(unit_x: np.ndarray) -> np.ndarray:
+        lower, upper = DesignVariables.LOWER, DesignVariables.UPPER
+        return lower + np.clip(unit_x, 0.0, 1.0) * (upper - lower)
+
+    def performance_batch(self, unit_x: np.ndarray) -> BatchPerformance:
+        """Figures of merit for a (B, n_vars) batch of unit-box vectors.
+
+        The batch of :meth:`performance_batch_isolated`: a row that
+        nothing can evaluate carries penalty figures.  Matches
+        ``[template.evaluate(DesignVariables.from_unit(u), band,
+        guard) for u in unit_x]`` to ~1e-10.
+        """
+        return self.performance_batch_isolated(unit_x)[0]
+
+    def performance_batch_physical(self, x_physical: np.ndarray
+                                   ) -> BatchPerformance:
+        """Figures of merit for a (B, n_vars) batch of *physical* vectors.
+
+        The batch of :meth:`performance_batch_physical_isolated`.
+        Unlike :meth:`performance_batch` no unit-box clip is applied:
+        robust corner sweeps legitimately evaluate component values
+        outside the optimization box (a +5 % inductor above ``UPPER``
+        is still a buildable board).  Matches
+        ``[template.evaluate(DesignVariables.from_vector(v), band,
+        guard) for v in x_physical]`` to ~1e-10.
+        """
+        return self.performance_batch_physical_isolated(x_physical)[0]
+
     def performance(self, unit_x: np.ndarray) -> AmplifierPerformance:
         """Single-candidate convenience wrapper over the batch path."""
         return self.performance_batch(np.atleast_2d(unit_x)).candidate(0)
 
-    # -- fault-isolated solving ---------------------------------------------
     def performance_batch_isolated(self, unit_x: np.ndarray):
-        """Like :meth:`performance_batch`, but no candidate can sink it.
+        """Unit-box figures of merit that no candidate can sink.
 
         Degradation chain per candidate: the fused condensed solve
         first; if the batch factorization raises, every row is
@@ -759,45 +694,39 @@ class CompiledTemplate:
         :meth:`AmplifierTemplate.evaluate` path, and finally — if
         nothing can evaluate them, or the bias is unusable — are
         filled with the finite worst-case figures of
-        :meth:`AmplifierPerformance.penalty`.
-        Healthy rows are numerically identical to the plain batch path.
+        :meth:`AmplifierPerformance.penalty`.  A healthy row is
+        bit-identical whatever its neighbours.
 
         Returns ``(batch, failures, n_fallbacks)``: the
         :class:`BatchPerformance`, a per-candidate list of
         ``Optional[EvaluationFailure]`` (``None`` for healthy rows,
         including rows recovered by the scalar fallback), and the count
         of rows the scalar fallback recovered.
+        ``EvaluationFailure.x`` carries the *unit-box* row.
         """
         unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
         with _obs_tracer.span("engine.performance_batch_isolated",
                               batch=unit_x.shape[0]):
             batch, failures, n_fallbacks = self._batch_isolated(
-                self._to_physical(unit_x), unit_x,
-                lambda i: DesignVariables.from_unit(unit_x[i]),
-            )
+                self._to_physical(unit_x), unit_x)
         self._record_isolated(unit_x.shape[0], failures, n_fallbacks)
         return batch, failures, n_fallbacks
 
     def performance_batch_physical_isolated(self, x_physical: np.ndarray):
-        """Fault-isolated twin of :meth:`performance_batch_physical`.
+        """:meth:`performance_batch_isolated` on raw physical vectors.
 
-        The same degradation chain as
-        :meth:`performance_batch_isolated` (condensed batch -> one-row
-        re-solves -> scalar fallback -> finite penalty figures) applied
-        to raw physical design vectors with no unit-box clip — robust
-        corner sweeps use this so one unsolvable corner quarantines
-        through the :class:`EvaluationFailure` taxonomy while the
-        healthy corners stay bit-identical to the plain physical batch
-        path.
-        ``EvaluationFailure.x`` carries the *physical* row.
+        No unit-box clip is applied, so robust corner sweeps can
+        evaluate components outside the optimization box; one
+        unsolvable corner quarantines through the
+        :class:`EvaluationFailure` taxonomy while the healthy corners
+        stay bit-identical.  ``EvaluationFailure.x`` carries the
+        *physical* row.
         """
         x_physical = np.atleast_2d(np.asarray(x_physical, dtype=float))
         with _obs_tracer.span("engine.performance_batch_isolated",
                               batch=x_physical.shape[0]):
             batch, failures, n_fallbacks = self._batch_isolated(
-                x_physical, x_physical,
-                lambda i: DesignVariables.from_vector(x_physical[i]),
-            )
+                x_physical, x_physical)
         self._record_isolated(x_physical.shape[0], failures, n_fallbacks)
         return batch, failures, n_fallbacks
 
@@ -816,22 +745,21 @@ class CompiledTemplate:
                               scalar_fallbacks=int(n_fallbacks),
                               penalty_rows=int(n_penalties))
 
-    def _batch_isolated(self, x_physical: np.ndarray, x_report: np.ndarray,
-                        decode):
-        """Shared isolated solve; ``x_report`` rows label failures and
-        ``decode(i)`` rebuilds row *i* for the scalar fallback.
+    def _batch_isolated(self, x_physical: np.ndarray, x_report: np.ndarray):
+        """The engine's one solve, uninstrumented: ``x_physical`` rows
+        are evaluated and ``x_report`` rows label their failures.
 
         Batches longer than :data:`_ISOLATED_BLOCK_ROWS` are solved one
         block at a time and concatenated, which bounds peak memory.
         """
         n_batch = x_physical.shape[0]
         if n_batch <= _ISOLATED_BLOCK_ROWS:
-            return self._block_isolated(x_physical, x_report, decode, 0)
+            return self._block_isolated(x_physical, x_report, 0)
         parts, failures, n_fallbacks = [], [], 0
         for start in range(0, n_batch, _ISOLATED_BLOCK_ROWS):
             stop = start + _ISOLATED_BLOCK_ROWS
             batch, block_failures, block_fallbacks = self._block_isolated(
-                x_physical[start:stop], x_report[start:stop], decode, start)
+                x_physical[start:stop], x_report[start:stop], start)
             parts.append(batch)
             failures.extend(block_failures)
             n_fallbacks += block_fallbacks
@@ -843,14 +771,14 @@ class CompiledTemplate:
         return batch, failures, n_fallbacks
 
     def _block_isolated(self, x_physical: np.ndarray, x_report: np.ndarray,
-                        decode, offset: int):
+                        offset: int):
         """One block of :meth:`_batch_isolated`; local row *i* is row
         ``offset + i`` of the whole batch."""
         n_batch = x_physical.shape[0]
         failures: List[Optional[EvaluationFailure]] = [None] * n_batch
 
         (admittances, scalar_psds, block_psds, ids,
-         bad_bias) = self._candidate_values(x_physical, bad_bias="mask")
+         bad_bias) = self._candidate_values(x_physical)
         s, cy_band, solver_failed = self._solve_isolated(
             n_batch, admittances, scalar_psds, block_psds
         )
@@ -882,7 +810,8 @@ class CompiledTemplate:
             with np.errstate(divide="ignore", invalid="ignore"):
                 try:
                     scalar = self.template.evaluate(
-                        decode(offset + i), self.band_grid, self.guard_grid,
+                        DesignVariables.from_vector(x_physical[i]),
+                        self.band_grid, self.guard_grid,
                     )
                 except FAILURE_EXCEPTIONS as exc:
                     failures[i] = EvaluationFailure(

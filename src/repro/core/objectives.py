@@ -128,15 +128,14 @@ class LnaEvaluator:
     scalar path to ~1e-10; pass ``engine="scalar"`` to force the
     original per-candidate circuit build (the test oracle).
 
-    Failure isolation: with ``on_failure="penalty"`` (the default) a
-    candidate whose solve raises (``DcConvergenceError``, singular
-    matrices, bad bias) or produces non-finite figures yields the
-    finite worst-case :meth:`AmplifierPerformance.penalty` record —
-    carrying a structured :class:`EvaluationFailure` — instead of an
-    exception.  Failures are counted by category in ``self.health``,
-    logged (capped) in ``self.failure_log``, and **never cached**, so a
-    transiently failing design point is re-attempted on revisit.  Pass
-    ``on_failure="raise"`` to restore the raising behavior.
+    Failure isolation: a candidate whose solve raises
+    (``DcConvergenceError``, singular matrices, bad bias) or produces
+    non-finite figures yields the finite worst-case
+    :meth:`AmplifierPerformance.penalty` record — carrying a structured
+    :class:`EvaluationFailure` — instead of an exception.  Failures are
+    counted by category in ``self.health``, logged (capped) in
+    ``self.failure_log``, and **never cached**, so a transiently failing
+    design point is re-attempted on revisit.
 
     Thread safety: ``DesignFlow(workers>1)`` calls one evaluator from
     several shard threads.  One lock guards the cache, the counters,
@@ -150,17 +149,10 @@ class LnaEvaluator:
                  guard_grid: Optional[FrequencyGrid] = None,
                  engine: str = "compiled",
                  cache_size: int = 4096,
-                 on_failure: str = "penalty",
                  max_failure_log: int = 64):
-        if on_failure not in ("penalty", "raise"):
-            raise ValueError(
-                f"unknown on_failure {on_failure!r}; "
-                f"use 'penalty' or 'raise'"
-            )
         self.template = template
         self.band_grid = band_grid or design_grid(17)
         self.guard_grid = guard_grid or stability_grid(24)
-        self.on_failure = on_failure
         self.health = RunHealth()
         self.failure_log: List[EvaluationFailure] = []
         self.max_failure_log = int(max_failure_log)
@@ -243,14 +235,6 @@ class LnaEvaluator:
             _obs_metrics.inc("evaluator.cache_hits")
         return cached
 
-    def _solve_one(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        if self._compiled is not None:
-            return self._compiled.performance(unit_x)
-        variables = DesignVariables.from_unit(unit_x)
-        return self.template.evaluate(
-            variables, self.band_grid, self.guard_grid
-        )
-
     def _record_failure(self, failure: EvaluationFailure):
         with self._lock:
             self.health.record(failure.category)
@@ -264,10 +248,14 @@ class LnaEvaluator:
         self._record_failure(failure)
         return AmplifierPerformance.penalty(self.band_grid, failure)
 
-    def _solve_one_guarded(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        """Scalar-path solve that maps failures to penalty records."""
+    def _solve_one(self, unit_x: np.ndarray) -> AmplifierPerformance:
+        """Scalar-path solve of one miss, used when no compiled engine
+        is active; failures become penalty records."""
         try:
-            perf = self._solve_one(unit_x)
+            perf = self.template.evaluate(
+                DesignVariables.from_unit(unit_x),
+                self.band_grid, self.guard_grid,
+            )
         except FAILURE_EXCEPTIONS as exc:
             return self._penalty(EvaluationFailure(
                 classify_exception(exc), str(exc), x=unit_x.copy()
@@ -290,10 +278,7 @@ class LnaEvaluator:
             return cached
         _obs_metrics.inc("evaluator.cache_misses")
         with _obs_tracer.span("evaluator.performance"):
-            if self.on_failure == "raise":
-                solved, n_fallbacks = [self._solve_one(unit_x)], 0
-            else:
-                solved, n_fallbacks = self._solve_misses(unit_x[None, :], [0])
+            solved, n_fallbacks = self._solve_misses(unit_x[None, :], [0])
             self._store([key], solved, n_fallbacks)
         return solved[0]
 
@@ -336,12 +321,6 @@ class LnaEvaluator:
 
         Returns the solved records and the engine's fallback count.
         """
-        if self.on_failure == "raise":
-            if self._compiled is not None:
-                batch = self._compiled.performance_batch(unit_x[first_rows])
-                return [batch.candidate(k)
-                        for k in range(len(first_rows))], 0
-            return [self._solve_one(unit_x[i]) for i in first_rows], 0
         if self._compiled is not None:
             batch, failures, n_fallbacks = (
                 self._compiled.performance_batch_isolated(
@@ -355,7 +334,7 @@ class LnaEvaluator:
                 else:
                     solved.append(batch.candidate(k))
             return solved, n_fallbacks
-        return [self._solve_one_guarded(unit_x[i]) for i in first_rows], 0
+        return [self._solve_one(unit_x[i]) for i in first_rows], 0
 
 
 def build_lna_problem(template: AmplifierTemplate,

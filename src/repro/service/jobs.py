@@ -367,8 +367,13 @@ def _build_lna_metric(params: dict) -> dict:
         AmplifierTemplate(reference_device().small_signal), verify=False)
 
     def objective_batch(unit_pop: np.ndarray) -> np.ndarray:
-        batch = engine.performance_batch(unit_pop)
-        return sign * np.asarray(getattr(batch, metric), dtype=float)
+        batch, failures, _ = engine.performance_batch_isolated(unit_pop)
+        values = sign * np.asarray(getattr(batch, metric), dtype=float)
+        # Penalty figures are worst-case for a design, not for every
+        # metric (a penalty row has zero ripple), so an unevaluable
+        # candidate scores +inf, which the evaluator counts as failed.
+        values[[f is not None for f in failures]] = np.inf
+        return values
 
     def objective(unit_x: np.ndarray) -> float:
         return float(objective_batch(np.atleast_2d(unit_x))[0])

@@ -30,6 +30,13 @@ class TestDesignFlow:
         assert standard_result.objectives[0] < 1.0        # NFmax < 1 dB
         assert -standard_result.objectives[1] > 12.0      # GTmin > 12 dB
 
+    def test_weighted_sum_baseline_ends_infeasible(self, flow):
+        # E5's claim: a weighted sum of NF and GT has no handle on the
+        # hard constraints, so at the default weights it settles far
+        # outside the spec (violation ~3.1 on this problem).
+        result = flow.run_weighted_sum()
+        assert result.constraint_violation > 1.0
+
     def test_finalize_snaps_to_catalogue(self, flow, standard_result):
         final = flow.finalize(standard_result)
         for value in (final.snapped.l_in, final.snapped.l_deg,

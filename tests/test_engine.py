@@ -192,8 +192,7 @@ class TestLnaEvaluatorCache:
         """Every lookup is counted once as a hit or a solve, however
         shard threads interleave over a small, constantly evicting
         cache."""
-        evaluator = LnaEvaluator(template, engine="scalar", cache_size=2,
-                                 on_failure="raise")
+        evaluator = LnaEvaluator(template, engine="scalar", cache_size=2)
         points = np.linspace(0.2, 0.8, 6)[:, None] * np.ones(
             len(DesignVariables.NAMES))
         # A canned solve keeps each call short, so threads mostly

@@ -196,16 +196,39 @@ def test_engine_isolated_penalizes_bad_bias_rows(template, grids):
         assert np.array_equal(got[2], expected[2])
 
 
-def test_engine_raising_path_still_raises_on_bad_bias(template, grids):
+def test_plain_batch_penalizes_bad_bias_rows(template, grids):
     band, guard = grids
     compiled = CompiledTemplate(template, band, guard)
+    n = len(DesignVariables.NAMES)
+    unit = np.tile(np.full(n, 0.5), (3, 1))
+    unit[2, 1] = 0.7
+    healthy = compiled.performance_batch(unit[[0, 2]])
+    unit[1, 0] = 0.0   # vgs at the box floor -> flagged bad
+    template.device.dc_model = BiasFaultDcModel(template.device.dc_model,
+                                                vgs_threshold=0.40)
+    batch = compiled.performance_batch(unit)
+    assert batch.nf_max_db[1] == PENALTY_NF_DB
+    assert batch.gt_min_db[1] == PENALTY_GT_DB
+    assert batch.mu_min[1] == 0.0
+    for name in ("nf_db", "gt_db", "s11_db", "s22_db", "mu_min", "ids",
+                 "nf_max_db", "gt_min_db", "gt_ripple_db"):
+        assert np.array_equal(getattr(batch, name)[[0, 2]],
+                              getattr(healthy, name)), name
+
+
+def test_service_metric_scores_unevaluable_rows_inf(template):
+    from repro.service.jobs import build_objective
+
+    metric = build_objective("lna.metric", {"metric": "gt_ripple_db"})
     template.device.dc_model = BiasFaultDcModel(template.device.dc_model,
                                                 vgs_threshold=0.40)
     n = len(DesignVariables.NAMES)
     unit = np.tile(np.full(n, 0.5), (2, 1))
-    unit[0, 0] = 0.0
-    with pytest.raises(ValueError, match="saturated forward region"):
-        compiled.performance_batch(unit)
+    unit[1, 0] = 0.0
+    values = metric["objective_batch"](unit)
+    assert np.isfinite(values[0])
+    assert values[1] == np.inf
+    assert metric["objective"](unit[1]) == np.inf
 
 
 def test_dc_convergence_error_propagates_through_scalar_evaluate(
@@ -282,19 +305,9 @@ def test_evaluator_compiled_batch_mixes_penalty_and_healthy(
     assert perfs2[0] is perfs[0]
 
 
-def test_evaluator_on_failure_raise_restores_old_behaviour(
-        template, grids):
-    band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar",
-                             on_failure="raise")
-    template.device.dc_model = ExplodingDcModel(template.device.dc_model)
-    with pytest.raises(DcConvergenceError):
-        evaluator.performance(np.full(len(DesignVariables.NAMES), 0.5))
-
-
-def test_evaluator_rejects_unknown_on_failure(template):
-    with pytest.raises(ValueError):
-        LnaEvaluator(template, on_failure="explode")
+def test_evaluator_on_failure_knob_is_removed(template):
+    with pytest.raises(TypeError):
+        LnaEvaluator(template, on_failure="raise")
 
 
 def test_penalty_performance_violates_every_constraint():
