@@ -2,7 +2,10 @@
 
 1. **Improved goal attainment, stage ablation** — drop the multi-start
    and the goal-tightening stages and measure what each buys on the
-   real LNA problem.
+   real LNA problem.  ``n_starts`` is a floor (a run keeps starting
+   from the ranked probes while no start has ended feasible), so the
+   "no multistart" row is one start unless that start ends
+   infeasible.
 2. **Dispersive vs ideal passives** — re-evaluate the selected design
    with ideal (lossless, parasitic-free) L/C elements to quantify how
    much the paper's step 3 (frequency-dependent Q/ESR) changes the

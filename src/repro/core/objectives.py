@@ -111,10 +111,11 @@ class LnaEvaluator:
     """Memoized map from a design vector to amplifier figures of merit.
 
     Objectives and constraints share one circuit solve per design
-    point; the quantized-key LRU cache makes the SLSQP
-    finite-difference pattern (objective then constraints at the same
-    x) cost one evaluation, and lets the multi-stage improved
-    goal-attainment flow revisit earlier iterates for free.  Keys
+    point; the quantized-key LRU cache serves an SLSQP step's
+    spec-constraint Jacobian from the stencil rows its attainment
+    Jacobian just solved (and the constraints at an iterate from its
+    objectives), and lets the multi-stage improved goal-attainment
+    flow revisit earlier iterates for free.  Keys
     quantize the unit vector to 12 decimals — far below the ~1.5e-8
     finite-difference step, so distinct probe points never collide —
     normalize ``-0.0`` to ``+0.0`` (their byte patterns differ), and

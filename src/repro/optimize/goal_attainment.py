@@ -26,14 +26,19 @@ weaknesses:
    attainment factor dimensionless and the solution invariant to
    objective units;
 2. *meta-heuristic multi-start*: the NLP is restarted from the best
-   probe points (global information), not a single user guess;
+   probe points (global information), not a single user guess — at
+   least ``n_starts`` of them, and more, in probe rank order, while
+   no start has ended feasible;
 3. *goal tightening*: after a solve, goals are re-anchored at the
    attained objective values minus a fraction of the range, and the
    NLP re-run — iterating the solution onto the Pareto surface no
    matter how timid the original goals were.
 
 Both methods count objective evaluations identically, so experiment E5
-compares them fairly.
+compares them fairly.  SLSQP's constraint Jacobians are its own
+forward differences, evaluated as one batch per Jacobian (see
+``_Stencil``): the same trajectory as pointwise differencing, at one
+engine call instead of ``n + 1``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy import optimize as sp_optimize
+from scipy.optimize._numdiff import approx_derivative
 
 from repro.obs import tracer as _obs_tracer
 from repro.obs.telemetry import GenerationRecord
@@ -74,6 +80,10 @@ __all__ = [
 #: SLSQP solve — ``inf``/``nan`` would break the line search, a large
 #: finite value just makes the point maximally unattractive.
 PENALTY_OBJECTIVE = 1.0e9
+
+#: SLSQP's default finite-difference step (its ``eps`` option): the
+#: absolute step of the forward differences it takes without ``jac=``.
+_FD_STEP = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -186,26 +196,71 @@ class _CountedObjectives:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         key = x.tobytes()
         if key != self._last_key:
-            n_obj = self._problem.n_objectives
             try:
                 value = np.asarray(self._problem.objectives(x), dtype=float)
             except FAILURE_EXCEPTIONS as exc:
                 self.health.record(classify_exception(exc))
-                value = np.full(n_obj, PENALTY_OBJECTIVE)
-            else:
-                if value.shape != (n_obj,):
-                    raise ValueError(
-                        f"objectives returned shape {value.shape}, "
-                        f"expected ({n_obj},)"
-                    )
-                bad = ~np.isfinite(value)
-                if np.any(bad):
-                    self.health.record(CATEGORY_NON_FINITE)
-                    value = np.where(bad, PENALTY_OBJECTIVE, value)
-            self._last_value = value
-            self._last_key = key
-            self.nfev += 1
+                value = np.full(self._problem.n_objectives, PENALTY_OBJECTIVE)
+            self._accept(key, value)
         return self._last_value
+
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """``[self(x) for x in points]``, evaluated in one batch call.
+
+        Counts, memoizes and records failures exactly as the calls one
+        at a time would: a row is a fresh evaluation when it differs
+        from the row before it (the memo, for the first row), so a
+        point that recurs after another counts again.  The distinct
+        fresh rows go to ``problem.objectives_batch`` at once; without
+        one, or when the batch call raises one of
+        :data:`FAILURE_EXCEPTIONS`, the rows are evaluated one by one.
+        """
+        points = np.asarray(points, dtype=float)
+        keys = [x.tobytes() for x in points]
+        fresh = {}
+        previous = self._last_key
+        for key, x in zip(keys, points):
+            if key != previous:
+                fresh.setdefault(key, x)
+            previous = key
+        values = None
+        if fresh and self._problem.objectives_batch is not None:
+            try:
+                values = np.asarray(self._problem.objectives_batch(
+                    np.array(list(fresh.values()))), dtype=float)
+            except FAILURE_EXCEPTIONS:
+                pass
+        if values is None:
+            return np.array([self(x) for x in points])
+        if len(values) != len(fresh):
+            raise ValueError(
+                f"objectives_batch returned {len(values)} rows for "
+                f"{len(fresh)} points"
+            )
+        by_key = dict(zip(fresh, values))
+        out = np.empty((len(points), self._problem.n_objectives))
+        for i, key in enumerate(keys):
+            if key != self._last_key:
+                self._accept(key, by_key[key])
+            out[i] = self._last_value
+        return out
+
+    def _accept(self, key: bytes, value) -> None:
+        """Count one fresh evaluation and memoize its (checked) value."""
+        n_obj = self._problem.n_objectives
+        value = np.asarray(value, dtype=float)
+        if value.shape != (n_obj,):
+            raise ValueError(
+                f"objectives returned shape {value.shape}, "
+                f"expected ({n_obj},)"
+            )
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            self.health.record(CATEGORY_NON_FINITE)
+            value = np.where(bad, PENALTY_OBJECTIVE, value)
+        self._last_value = value
+        self._last_key = key
+        self.nfev += 1
 
     # -- checkpoint support -------------------------------------------------
     def state(self):
@@ -223,34 +278,122 @@ class _CountedObjectives:
         self._last_value = state["last_value"]
 
 
+class _Stencil:
+    """The points of one forward-difference Jacobian, as SLSQP takes it.
+
+    Without ``jac=``, SLSQP differentiates each constraint block with
+    ``approx_derivative(fun, x, method="2-point", abs_step=eps,
+    bounds=...)`` and calls ``fun`` once per point.  A stencil runs
+    that same call with a recording ``fun`` to learn the points —
+    ``x`` first, then one step per coordinate, flipped at the bounds —
+    so a caller can evaluate them in one batch; :meth:`jacobian` runs
+    it again on the batch's values, so the differences and divisions
+    are scipy's own and the Jacobian is bit-identical.
+    """
+
+    def __init__(self, x: np.ndarray, bounds):
+        self.x = x
+        self.bounds = bounds
+        points = []
+
+        def record(point):
+            points.append(np.array(point, dtype=float))
+            return 0.0
+
+        self._difference(record)
+        self.points = np.array(points)
+
+    def _difference(self, fun, f0=None):
+        return approx_derivative(fun, self.x, method="2-point",
+                                 abs_step=_FD_STEP, bounds=self.bounds,
+                                 f0=f0)
+
+    def jacobian(self, values, f0=None) -> np.ndarray:
+        """The Jacobian given ``values[i]``, the function at ``points[i]``.
+
+        With ``f0`` (the value at ``x``, as scipy's scalar-function
+        gradient passes it) ``values[0]`` is not read.
+        """
+        lookup = {p.tobytes(): v for p, v in zip(self.points, values)}
+        return self._difference(lambda point: lookup[point.tobytes()], f0)
+
+
+def _stencil_memo(lower: np.ndarray, upper: np.ndarray):
+    """``at(x, clip=True)``: the :class:`_Stencil` at ``x``, reused while
+    ``x`` repeats, so the blocks of one SLSQP Jacobian share one
+    stencil.  SLSQP clips ``x`` into the box before it differences a
+    constraint block, but not before it differences the objective."""
+    last = [None]
+
+    def at(x, clip=True):
+        if clip:
+            x = np.clip(x, lower, upper)
+        if last[0] is None or last[0].x.tobytes() != x.tobytes():
+            last[0] = _Stencil(x, (lower, upper))
+        return last[0]
+
+    return at
+
+
+def _constraint_rows(problem: MultiObjectiveProblem,
+                     points: np.ndarray) -> np.ndarray:
+    """``problem.constraints`` on every row of *points*, in one
+    ``constraints_batch`` call when the problem has one."""
+    if problem.constraints_batch is not None:
+        return np.asarray(problem.constraints_batch(points), dtype=float)
+    return np.array([np.asarray(problem.constraints(x), dtype=float)
+                     for x in points])
+
+
 def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
                         x0, counter: _CountedObjectives,
                         max_iterations: int = 200):
-    """One SLSQP solve of the Gembicki reformulation from x0."""
+    """One SLSQP solve of the Gembicki reformulation from x0.
+
+    Both constraint blocks carry a ``jac`` that evaluates SLSQP's own
+    finite-difference stencil as one batch (:class:`_Stencil`): the
+    attainment block through :meth:`_CountedObjectives.batch`, the
+    spec block through ``constraints_batch`` on the same rows, which an
+    evaluator cache serves.  The trajectory is the one SLSQP takes
+    when it differences the constraints itself.
+    """
     n_x = problem.lower.size
     goals = np.asarray(goals, dtype=float)
     weights = np.asarray(weights, dtype=float)
 
-    def split(y):
-        return y[:n_x], y[n_x]
-
     def objective(y):
         return y[n_x]
 
+    def attainment(y, f):
+        return goals + weights * y[n_x] - f  # must be >= 0
+
     def attainment_constraints(y):
-        x, gamma = split(y)
-        f = counter(x)
-        return goals + weights * gamma - f  # must be >= 0
+        return attainment(y, counter(y[:n_x]))
+
+    def attainment_jacobian(y):
+        stencil = stencil_at(y)
+        values = counter.batch(stencil.points[:, :n_x])
+        return stencil.jacobian(
+            [attainment(p, f) for p, f in zip(stencil.points, values)]
+        )
 
     constraint_list = [
-        {"type": "ineq", "fun": attainment_constraints},
+        {"type": "ineq", "fun": attainment_constraints,
+         "jac": attainment_jacobian},
     ]
     if problem.constraints is not None:
+        def spec_jacobian(y):
+            stencil = stencil_at(y)
+            return stencil.jacobian(
+                -_constraint_rows(problem, stencil.points[:, :n_x])
+            )
+
         constraint_list.append(
             {"type": "ineq",
              "fun": lambda y: -np.asarray(
                  problem.constraints(y[:n_x]), dtype=float
-             )}
+             ),
+             "jac": spec_jacobian}
         )
 
     f0 = counter(np.asarray(x0, dtype=float))
@@ -260,6 +403,8 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
     bounds = list(zip(problem.lower, problem.upper)) + [
         (-gamma_span, gamma_span)
     ]
+    stencil_at = _stencil_memo(np.append(problem.lower, -gamma_span),
+                               np.append(problem.upper, gamma_span))
     solution = sp_optimize.minimize(
         objective, y0, method="SLSQP", bounds=bounds,
         constraints=constraint_list,
@@ -340,11 +485,17 @@ def goal_attainment_improved(
 ) -> GoalAttainmentResult:
     """The paper-style improved goal attainment (see module docstring).
 
+    ``n_starts`` is the least number of NLP starts: while the best
+    design so far violates the constraints (by more than 1e-6), the
+    run keeps starting from the next-ranked probe, until a start ends
+    feasible or the probes run out.  A run whose first ``n_starts``
+    starts give a feasible design runs exactly ``n_starts``.
+
     ``initial_population`` warm-starts the probe stage: its rows
     (clipped to the bounds) replace the leading LHS probes, so the
     multi-start ordering sees a nearby archived run's best designs
-    first.  The finished run journals its NLP starts plus the final
-    design as a ``final_population`` event for future warm starts.
+    first.  The finished run journals the NLP starts it ran plus the
+    final design as a ``final_population`` event for future warm starts.
 
     ``workers > 1`` shards the population-level probe stage — the only
     batched part of this algorithm — across a thread pool
@@ -360,8 +511,9 @@ def goal_attainment_improved(
     ``on_generation`` receives one
     :class:`~repro.obs.telemetry.GenerationRecord` per completed stage
     — the probe is generation 0, NLP start *k* is generation ``k + 1``,
-    tightening round *r* is generation ``n_starts + r + 1`` — and rides
-    inside checkpoints when it exposes ``state()``/``restore()``.
+    tightening round *r* is generation ``n_run + r + 1`` for the
+    ``n_run`` starts actually run — and rides inside checkpoints when
+    it exposes ``state()``/``restore()``.
     """
     workers = validate_workers(workers)
     if workers is not None and workers > 1:
@@ -495,8 +647,10 @@ def goal_attainment_improved(
         # --- stage 2 setup: order the starts by probe attainment --------
         attainment = np.max((probe_values - goals) / weights, axis=1)
         attainment = np.where(feas, attainment, attainment + 1e6)
-        order = np.argsort(attainment)
-        starts = [probes[i] for i in order[:n_starts]]
+        # Every probe, best first: the first ``n_starts`` are the
+        # planned starts, the rest are reserves for an infeasible
+        # incumbent.
+        starts = [probes[i] for i in np.argsort(attainment)]
         best = None
         history = []
         start_index = 0
@@ -514,7 +668,11 @@ def goal_attainment_improved(
              best, history)
 
     # --- stage 2: multi-start from the best probes -----------------------
-    for k in range(start_index, len(starts)):
+    # At least ``n_starts`` starts; past them, keep starting from the
+    # next-ranked probe while the incumbent is infeasible.
+    k = start_index
+    while k < len(starts) and (k < n_starts or (
+            best is not None and best.constraint_violation > 1e-6)):
         stage_start = time.monotonic()
         with _obs_tracer.span("goal_attainment.nlp_start", start=k):
             x_final, gamma, success, message = _solve_gembicki_nlp(
@@ -529,6 +687,8 @@ def goal_attainment_improved(
              time.monotonic() - stage_start)
         save(k + 1, k + 1, tighten_index, starts, ranges, weights,
              best, history)
+        k += 1
+    n_run = k
 
     if best is None:  # pragma: no cover - n_starts >= 1 always yields one
         raise RuntimeError("no goal-attainment start succeeded")
@@ -552,11 +712,11 @@ def goal_attainment_improved(
             break
         if np.all(candidate.objectives <= best.objectives + 1e-12):
             best = candidate
-            emit("tighten", len(starts) + round_index + 1, best.gamma,
+            emit("tighten", n_run + round_index + 1, best.gamma,
                  best.constraint_violation,
                  time.monotonic() - stage_start)
-            save(len(starts) + round_index + 1, len(starts),
-                 round_index + 1, starts, ranges, weights, best, history)
+            save(n_run + round_index + 1, n_run, round_index + 1, starts,
+                 ranges, weights, best, history)
         else:
             break
 
@@ -565,15 +725,12 @@ def goal_attainment_improved(
                      best.success, best.message, history)
     if checkpoint_store is not None:
         checkpoint_store.clear()
-    # The NLP starts plus the winning design are this algorithm's best
-    # warm-start seeds; gammas approximate the fitness ordering.
+    # The NLP starts run plus the winning design are this algorithm's
+    # best warm-start seeds; gammas approximate the fitness ordering.
     seeds = np.vstack([np.asarray(final.x, dtype=float)[None, :]]
                       + [np.asarray(s, dtype=float)[None, :]
-                         for s in starts])
-    gammas = [float(final.gamma)] + [
-        float(history[k]) if k < len(history) else float("inf")
-        for k in range(len(starts))
-    ]
+                         for s in starts[:n_run]])
+    gammas = [float(final.gamma)] + [float(g) for g in history[:n_run]]
     _emit_final_population(algorithm, seeds, gammas)
     return final
 

@@ -16,7 +16,9 @@ from scipy import optimize as sp_optimize
 from repro.optimize.goal_attainment import (
     GoalAttainmentResult,
     MultiObjectiveProblem,
+    _constraint_rows,
     _CountedObjectives,
+    _stencil_memo,
 )
 from repro.optimize.metaheuristics import latin_hypercube
 
@@ -50,17 +52,36 @@ def weighted_sum(
     def scalar(x):
         return float(np.dot(weights, counter(x)))
 
+    def scalar_gradient(x):
+        # scipy's scalar-function gradient differences from the value
+        # at x it already holds, unclipped; SLSQP has always just
+        # evaluated x, so the memo serves it.
+        f0 = scalar(x)
+        stencil = stencil_at(x, clip=False)
+        values = counter.batch(stencil.points)
+        return stencil.jacobian(
+            [float(np.dot(weights, f)) for f in values], f0=f0
+        )
+
+    stencil_at = _stencil_memo(problem.lower, problem.upper)
     constraint_list = []
     if problem.constraints is not None:
+        def constraint_jacobian(x):
+            stencil = stencil_at(x)
+            return stencil.jacobian(
+                -_constraint_rows(problem, stencil.points)
+            )
+
         constraint_list.append(
             {"type": "ineq",
              "fun": lambda x: -np.asarray(problem.constraints(x),
-                                          dtype=float)}
+                                          dtype=float),
+             "jac": constraint_jacobian}
         )
     best_x, best_value, best_success, best_message = None, np.inf, False, ""
     for x0 in starts:
         solution = sp_optimize.minimize(
-            scalar, x0, method="SLSQP",
+            scalar, x0, method="SLSQP", jac=scalar_gradient,
             bounds=list(zip(problem.lower, problem.upper)),
             constraints=constraint_list,
             options={"maxiter": max_iterations, "ftol": 1e-10},
