@@ -1,12 +1,13 @@
 """Benches of the robust (tolerance-corner) evaluation paths.
 
 ``test_bench_robust_yield`` times a 64-trial Monte-Carlo yield run of
-the reference LNA through both ``monte_carlo_yield`` engines — the
-scalar per-trial reference loop and the batched corner engine (one
-fault-isolated MNA factorization for all trials) — and writes
-``BENCH_robust_yield.json``.  Both engines consume the identical RNG
-stream and agree to <= 1e-9 (enforced in ``tests/test_tolerance.py``);
-the acceptance bar here is >= 5x for the batched engine at 64 trials.
+the reference LNA two ways — a scalar per-trial loop of
+``AmplifierTemplate.evaluate`` over the same Monte-Carlo boards, and
+``monte_carlo_yield`` (one fault-isolated batched engine call for all
+trials) — and writes ``BENCH_robust_yield.json``.  Both draw the boards
+from the identical RNG stream and agree to <= 1e-9 (the per-variable
+draw is checked in ``tests/test_tolerance.py``); the acceptance bar
+here is >= 5x for the batched engine at 64 trials.
 The timed design ships on some trials and not others, so the yield
 it reports is strictly between 0 and 1.
 
@@ -28,7 +29,7 @@ from repro.core.bands import design_grid, stability_grid
 from repro.core.tolerance import ToleranceSpec, monte_carlo_yield
 from repro.experiments.common import reference_device
 from repro.optimize.robust import PENALTY_GT_DB, PENALTY_NF_DB, \
-    RobustEvaluator
+    CornerSet, RobustEvaluator
 
 N_TRIALS = 64
 ROBUST_GATE_SPEEDUP = 5.0
@@ -76,29 +77,37 @@ def test_bench_robust_yield(save_report, report_dir, host_context):
     compiled = CompiledTemplate(template, band, guard, verify=False)
 
     def scalar():
-        return monte_carlo_yield(template, nominal, tolerances,
-                                 n_trials=N_TRIALS, seed=0,
-                                 band_grid=band, guard_grid=guard,
-                                 engine="scalar")
+        """The per-trial reference loop: the trials' figures and the
+        yield under ``monte_carlo_yield``'s default shipping limits."""
+        boards = CornerSet.monte_carlo(
+            tolerances, N_TRIALS, np.random.default_rng(0)
+        ).apply(nominal.to_vector())
+        perfs = [template.evaluate(DesignVariables.from_vector(x),
+                                   band, guard)
+                 for x in boards]
+        nf_max = np.array([perf.nf_max_db for perf in perfs])
+        ships = [perf.nf_max_db <= 0.8 and perf.gt_min_db >= 13.0
+                 and perf.mu_min > 1.0 for perf in perfs]
+        return nf_max, float(np.mean(ships))
 
     def batched():
         return monte_carlo_yield(template, nominal, tolerances,
                                  n_trials=N_TRIALS, seed=0,
                                  band_grid=band, guard_grid=guard,
-                                 engine="batched", compiled=compiled)
+                                 compiled=compiled)
 
     # Warm both paths: scratch buffers, allocator pools, the scalar
     # path's per-evaluation circuit assembly caches.
     for _ in range(3):
         batched()
-    scalar_result = scalar()
+    scalar_nf_max, scalar_yield = scalar()
     batched_result = batched()
-    np.testing.assert_allclose(batched_result.nf_max_db,
-                               scalar_result.nf_max_db, atol=1e-9)
-    assert batched_result.n_pass == scalar_result.n_pass
-    assert 0.0 < scalar_result.yield_fraction < 1.0, (
+    np.testing.assert_allclose(batched_result.nf_max_db, scalar_nf_max,
+                               atol=1e-9)
+    assert batched_result.yield_fraction == scalar_yield
+    assert 0.0 < scalar_yield < 1.0, (
         f"the timed design should ship on some trials and fail others, "
-        f"got yield {scalar_result.yield_fraction}")
+        f"got yield {scalar_yield}")
 
     # 5 runs of the slow reference loop, 20 of the batched engine.
     t_scalar, t_batched = _interleaved_best(scalar, batched)
@@ -112,7 +121,7 @@ def test_bench_robust_yield(save_report, report_dir, host_context):
         "scalar_trials_per_s": N_TRIALS / t_scalar,
         "batched_trials_per_s": N_TRIALS / t_batched,
         "speedup_batched_vs_scalar": speedup,
-        "yield_fraction": scalar_result.yield_fraction,
+        "yield_fraction": scalar_yield,
         "host": host_context(),
     }
     (report_dir / "BENCH_robust_yield.json").write_text(

@@ -17,14 +17,14 @@ satisfy:
 Every optimizer in experiment E5 consumes the same
 :class:`~repro.optimize.goal_attainment.MultiObjectiveProblem` built
 here, with one shared memoized evaluator so evaluation counts are
-comparable.
+comparable.  That evaluator solves every candidate through the compiled
+batched engine; ``AmplifierTemplate.evaluate`` is the scalar oracle the
+tests hold it to.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -41,54 +41,12 @@ from repro.core.amplifier import (
     DesignVariables,
 )
 from repro.core.bands import design_grid, stability_grid
-from repro.core.engine import (
-    CompiledTemplate,
-    CompileError,
-    _performance_is_finite,
-)
-from repro.optimize.faults import (
-    CATEGORY_NON_FINITE,
-    EvaluationFailure,
-    FAILURE_EXCEPTIONS,
-    RunHealth,
-    classify_exception,
-)
+from repro.core.engine import CompiledTemplate
+from repro.optimize.faults import EvaluationFailure, RunHealth
 from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.rf.frequency import FrequencyGrid
 
 __all__ = ["DesignSpec", "LnaEvaluator", "build_lna_problem"]
-
-
-def _stable_describe(obj, depth: int = 4) -> str:
-    """Deterministic structural description of *obj* for fingerprinting.
-
-    Recurses through numbers, strings, arrays, sequences, mappings and
-    plain-attribute objects; anything deeper (or opaque) contributes
-    only its type name, never its memory address.
-    """
-    if isinstance(obj, (bool, int, float, complex, str, type(None))):
-        return repr(obj)
-    if isinstance(obj, np.ndarray):
-        digest = hashlib.sha1(
-            np.ascontiguousarray(obj).tobytes()
-        ).hexdigest()
-        return f"ndarray{obj.shape}{obj.dtype}:{digest}"
-    if isinstance(obj, (list, tuple)):
-        inner = ",".join(_stable_describe(v, depth - 1) for v in obj)
-        return f"[{inner}]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(
-            f"{key!s}={_stable_describe(value, depth - 1)}"
-            for key, value in items
-        )
-        return f"{{{inner}}}"
-    if depth <= 0:
-        return type(obj).__name__
-    attrs = getattr(obj, "__dict__", None)
-    if attrs:
-        return f"{type(obj).__name__}{_stable_describe(attrs, depth - 1)}"
-    return type(obj).__name__
 
 
 @dataclass(frozen=True)
@@ -106,28 +64,41 @@ class DesignSpec:
     mu_margin: float = 1.10        # unconditional stability margin
     ids_max: float = 80e-3         # supply budget [A]
 
+    def constraints(self, s11_db: np.ndarray, s22_db: np.ndarray,
+                    mu_min: np.ndarray, gt_ripple_db: np.ndarray,
+                    ids: np.ndarray) -> np.ndarray:
+        """The ``(B, 5)`` constraint values of a batch, ``<= 0`` when met.
+
+        Takes ``(B, F)`` in-band return losses and ``(B,)`` stability,
+        ripple and drain-current figures.
+        """
+        return np.column_stack([
+            np.max(s11_db, axis=1) + self.rl_spec_db,   # S11 <= -RL
+            np.max(s22_db, axis=1) + self.rl_spec_db,   # S22 <= -RL
+            self.mu_margin - mu_min,                    # mu >= margin
+            gt_ripple_db - self.ripple_spec_db,         # ripple <= spec
+            (ids - self.ids_max) / self.ids_max,        # Ids <= budget
+        ])
+
 
 class LnaEvaluator:
     """Memoized map from a design vector to amplifier figures of merit.
+
+    Every solve runs through the compiled batched engine
+    (:class:`repro.core.engine.CompiledTemplate`); a template it cannot
+    compile raises :class:`~repro.core.engine.CompileError`.  The
+    template is stamped into the engine when the evaluator is built, so
+    a template mutated in place needs a new evaluator.
 
     Objectives and constraints share one circuit solve per design
     point; the quantized-key LRU cache serves an SLSQP step's
     spec-constraint Jacobian from the stencil rows its attainment
     Jacobian just solved (and the constraints at an iterate from its
     objectives), and lets the multi-stage improved goal-attainment
-    flow revisit earlier iterates for free.  Keys
-    quantize the unit vector to 12 decimals — far below the ~1.5e-8
-    finite-difference step, so distinct probe points never collide —
-    normalize ``-0.0`` to ``+0.0`` (their byte patterns differ), and
-    are prefixed with a fingerprint of the template + frequency grids,
-    so evaluators over different amplifiers can never serve each
-    other's stale entries (and :meth:`invalidate_cache` drops the
-    store if the template is mutated in place).
-
-    By default evaluations run through the compiled batched engine
-    (:class:`repro.core.engine.CompiledTemplate`), which matches the
-    scalar path to ~1e-10; pass ``engine="scalar"`` to force the
-    original per-candidate circuit build (the test oracle).
+    flow revisit earlier iterates for free.  Keys quantize the unit
+    vector to 12 decimals — far below the ~1.5e-8 finite-difference
+    step, so distinct probe points never collide — and normalize
+    ``-0.0`` to ``+0.0`` (their byte patterns differ).
 
     Failure isolation: a candidate whose solve raises
     (``DcConvergenceError``, singular matrices, bad bias) or produces
@@ -145,11 +116,12 @@ class LnaEvaluator:
     a solve.
     """
 
+    #: Entries the LRU store keeps.
+    CACHE_SIZE = 4096
+
     def __init__(self, template: AmplifierTemplate,
                  band_grid: Optional[FrequencyGrid] = None,
                  guard_grid: Optional[FrequencyGrid] = None,
-                 engine: str = "compiled",
-                 cache_size: int = 4096,
                  max_failure_log: int = 64):
         self.template = template
         self.band_grid = band_grid or design_grid(17)
@@ -159,56 +131,17 @@ class LnaEvaluator:
         self.max_failure_log = int(max_failure_log)
         self.n_solves = 0
         self.cache_hits = 0
-        self.cache_size = int(cache_size)
         self._cache: "OrderedDict[bytes, AmplifierPerformance]" = OrderedDict()
         self._lock = threading.Lock()
-        self._fingerprint = self._compute_fingerprint()
-        self._compiled: Optional[CompiledTemplate] = None
-        if engine == "compiled":
-            try:
-                self._compiled = CompiledTemplate(
-                    self.template, self.band_grid, self.guard_grid
-                )
-            except CompileError as exc:
-                warnings.warn(
-                    f"compiled engine rejected the template "
-                    f"({exc}); falling back to the scalar path",
-                    RuntimeWarning,
-                )
-        elif engine != "scalar":
-            raise ValueError(
-                f"unknown engine {engine!r}; use 'compiled' or 'scalar'"
-            )
-
-    @property
-    def engine(self) -> str:
-        """The evaluation path in use: ``"compiled"`` or ``"scalar"``."""
-        return "compiled" if self._compiled is not None else "scalar"
-
-    def _compute_fingerprint(self) -> bytes:
-        """Hash of the template + grids that parameterize every solve."""
-        description = _stable_describe({
-            "template": self.template,
-            "band_grid": self.band_grid,
-            "guard_grid": self.guard_grid,
-        })
-        return hashlib.sha1(description.encode("utf-8")).digest()
-
-    def invalidate_cache(self) -> None:
-        """Drop cached results and re-fingerprint the template.
-
-        Call after mutating the template (or its device) in place so
-        stale figures of merit cannot be served for the new circuit.
-        """
-        with self._lock:
-            self._cache.clear()
-            self._fingerprint = self._compute_fingerprint()
+        self._compiled = CompiledTemplate(
+            self.template, self.band_grid, self.guard_grid
+        )
 
     def _key(self, unit_x: np.ndarray) -> bytes:
         quantized = np.round(np.asarray(unit_x, dtype=float), 12)
         # -0.0 and +0.0 compare equal but differ bytewise; fold them.
         quantized = quantized + 0.0
-        return self._fingerprint + quantized.tobytes()
+        return quantized.tobytes()
 
     def _store(self, keys: List[bytes], solved: List[AmplifierPerformance],
                n_fallbacks: int):
@@ -224,7 +157,7 @@ class LnaEvaluator:
     def _remember(self, key: bytes, perf: AmplifierPerformance):
         # Caller holds self._lock.
         self._cache[key] = perf
-        if len(self._cache) > self.cache_size:
+        if len(self._cache) > self.CACHE_SIZE:
             self._cache.popitem(last=False)
 
     def _lookup(self, key: bytes) -> Optional[AmplifierPerformance]:
@@ -236,7 +169,7 @@ class LnaEvaluator:
             _obs_metrics.inc("evaluator.cache_hits")
         return cached
 
-    def _record_failure(self, failure: EvaluationFailure):
+    def _penalty(self, failure: EvaluationFailure) -> AmplifierPerformance:
         with self._lock:
             self.health.record(failure.category)
             if len(self.failure_log) < self.max_failure_log:
@@ -244,44 +177,12 @@ class LnaEvaluator:
         _obs_journal.emit("evaluation_failure",
                           category=failure.category,
                           message=str(failure.message)[:200])
-
-    def _penalty(self, failure: EvaluationFailure) -> AmplifierPerformance:
-        self._record_failure(failure)
         return AmplifierPerformance.penalty(self.band_grid, failure)
-
-    def _solve_one(self, unit_x: np.ndarray) -> AmplifierPerformance:
-        """Scalar-path solve of one miss, used when no compiled engine
-        is active; failures become penalty records."""
-        try:
-            perf = self.template.evaluate(
-                DesignVariables.from_unit(unit_x),
-                self.band_grid, self.guard_grid,
-            )
-        except FAILURE_EXCEPTIONS as exc:
-            return self._penalty(EvaluationFailure(
-                classify_exception(exc), str(exc), x=unit_x.copy()
-            ))
-        if not _performance_is_finite(perf):
-            return self._penalty(EvaluationFailure(
-                CATEGORY_NON_FINITE,
-                "evaluation produced non-finite figures of merit",
-                x=unit_x.copy(),
-            ))
-        return perf
 
     def performance(self, unit_x: np.ndarray) -> AmplifierPerformance:
         """Figures of merit at a *unit-box* design vector."""
-        unit_x = np.asarray(unit_x, dtype=float)
-        key = self._key(unit_x)
-        with self._lock:
-            cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        _obs_metrics.inc("evaluator.cache_misses")
-        with _obs_tracer.span("evaluator.performance"):
-            solved, n_fallbacks = self._solve_misses(unit_x[None, :], [0])
-            self._store([key], solved, n_fallbacks)
-        return solved[0]
+        return self.performance_batch(
+            np.asarray(unit_x, dtype=float)[None, :])[0]
 
     def performance_batch(
         self, unit_x: np.ndarray
@@ -289,8 +190,8 @@ class LnaEvaluator:
         """Figures of merit for a ``(B, n_vars)`` stack of unit vectors.
 
         Cache hits are served from the LRU store; the misses are solved
-        in **one** batched MNA factorization when the compiled engine
-        is active (duplicate rows within the batch are solved once).
+        in **one** batched engine call (duplicate rows within the batch
+        are solved once).
         """
         unit_x = np.atleast_2d(np.asarray(unit_x, dtype=float))
         results: List[Optional[AmplifierPerformance]] = [None] * len(unit_x)
@@ -309,33 +210,26 @@ class LnaEvaluator:
             with _obs_tracer.span("evaluator.performance_batch",
                                   batch=len(unit_x),
                                   misses=len(first_rows)):
-                solved, n_fallbacks = self._solve_misses(unit_x, first_rows)
+                solved, n_fallbacks = self._solve_misses(unit_x[first_rows])
             self._store(list(miss_rows), solved, n_fallbacks)
             for rows, perf in zip(miss_rows.values(), solved):
                 for i in rows:
                     results[i] = perf
         return results
 
-    def _solve_misses(self, unit_x: np.ndarray, first_rows: List[int]
+    def _solve_misses(self, unit_x: np.ndarray
                       ) -> Tuple[List[AmplifierPerformance], int]:
-        """Solve the de-duplicated cache misses of a call.
+        """Solve a call's de-duplicated cache misses in one engine call.
 
         Returns the solved records and the engine's fallback count.
         """
-        if self._compiled is not None:
-            batch, failures, n_fallbacks = (
-                self._compiled.performance_batch_isolated(
-                    unit_x[first_rows]
-                )
-            )
-            solved = []
-            for k in range(len(first_rows)):
-                if failures[k] is not None:
-                    solved.append(self._penalty(failures[k]))
-                else:
-                    solved.append(batch.candidate(k))
-            return solved, n_fallbacks
-        return [self._solve_one(unit_x[i]) for i in first_rows], 0
+        batch, failures, n_fallbacks = (
+            self._compiled.performance_batch_isolated(unit_x)
+        )
+        solved = [batch.candidate(k) if failure is None
+                  else self._penalty(failure)
+                  for k, failure in enumerate(failures)]
+        return solved, n_fallbacks
 
 
 def build_lna_problem(template: AmplifierTemplate,
@@ -349,36 +243,31 @@ def build_lna_problem(template: AmplifierTemplate,
     addition to the scalar callables the problem carries
     ``objectives_batch`` / ``constraints_batch`` — population-level
     maps an optimizer can call with a ``(B, n)`` matrix to amortize the
-    MNA factorization across candidates.
+    MNA factorization across candidates; the scalar callables are their
+    one-row calls.
     """
     spec = spec or DesignSpec()
     evaluator = evaluator or LnaEvaluator(template)
 
-    def _objective_row(perf: AmplifierPerformance) -> List[float]:
-        return [perf.nf_max_db, -perf.gt_min_db]
-
-    def _constraint_row(perf: AmplifierPerformance) -> List[float]:
-        return [
-            float(np.max(perf.s11_db)) + spec.rl_spec_db,   # S11 <= -RL
-            float(np.max(perf.s22_db)) + spec.rl_spec_db,   # S22 <= -RL
-            spec.mu_margin - perf.mu_min,                   # mu >= margin
-            perf.gt_ripple_db - spec.ripple_spec_db,        # ripple <= spec
-            (perf.ids - spec.ids_max) / spec.ids_max,       # Ids <= budget
-        ]
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        return np.array(_objective_row(evaluator.performance(x)))
-
-    def constraints(x: np.ndarray) -> np.ndarray:
-        return np.array(_constraint_row(evaluator.performance(x)))
-
     def objectives_batch(x: np.ndarray) -> np.ndarray:
         perfs = evaluator.performance_batch(x)
-        return np.array([_objective_row(p) for p in perfs])
+        return np.array([[p.nf_max_db, -p.gt_min_db] for p in perfs])
 
     def constraints_batch(x: np.ndarray) -> np.ndarray:
         perfs = evaluator.performance_batch(x)
-        return np.array([_constraint_row(p) for p in perfs])
+        return spec.constraints(
+            np.array([p.s11_db for p in perfs]),
+            np.array([p.s22_db for p in perfs]),
+            np.array([p.mu_min for p in perfs]),
+            np.array([p.gt_ripple_db for p in perfs]),
+            np.array([p.ids for p in perfs]),
+        )
+
+    def objectives(x: np.ndarray) -> np.ndarray:
+        return objectives_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+    def constraints(x: np.ndarray) -> np.ndarray:
+        return constraints_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     n_vars = len(DesignVariables.NAMES)
     return MultiObjectiveProblem(

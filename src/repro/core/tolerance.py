@@ -6,13 +6,12 @@ This module samples those variations and reports the fraction of boards
 meeting the shipping spec — the standard post-design step that decides
 whether the optimized point is *robust*, not just optimal.
 
-The default ``engine="batched"`` evaluates every sampled board in one
-fault-isolated engine call, factorized in 64-row blocks (via
+Every sampled board is evaluated in one fault-isolated engine call,
+factorized in 64-row blocks (via
 :meth:`repro.core.engine.CompiledTemplate.performance_batch_physical_isolated`
-on a Monte-Carlo :class:`~repro.optimize.robust.CornerSet` that draws
-the exact RNG sequence of the scalar loop); ``engine="scalar"`` keeps
-the original one-full-evaluation-per-trial reference path, and the two
-agree on per-trial figures to well under 1e-9.
+on a Monte-Carlo :class:`~repro.optimize.robust.CornerSet`, which draws
+one uniform variate per design variable per trial in
+:data:`~repro.core.amplifier.DesignVariables.NAMES` order).
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ def monte_carlo_yield(
     guard_grid: Optional[FrequencyGrid] = None,
     nf_ship_limit_db: float = 0.8,
     gt_ship_limit_db: float = 13.0,
-    engine: str = "batched",
     compiled=None,
 ) -> YieldResult:
     """Sample component variations and evaluate the shipping yield.
@@ -127,45 +125,42 @@ def monte_carlo_yield(
     Return-loss and ripple are tracked in ``failures`` but judged
     against the (looser) shipping limits derived from *spec*.
 
-    ``engine="batched"`` (default) solves all trials in one batched
-    engine call (64-row blocks); trials whose solve fails quarantine
-    through the failure taxonomy and are counted under
-    ``failures["quarantined"]`` (a board that cannot be solved
-    certainly does not ship).
-    ``engine="scalar"`` is the per-trial reference loop; both engines
-    consume the identical RNG stream, so per-trial figures agree to
-    well under 1e-9.  Pass a prebuilt
+    All trials are solved in one batched engine call (64-row blocks);
+    trials whose solve fails quarantine through the failure taxonomy
+    and are counted under ``failures["quarantined"]`` (a board that
+    cannot be solved certainly does not ship).  Pass a prebuilt
     :class:`~repro.core.engine.CompiledTemplate` via *compiled* (its
     grids take precedence) to amortize compilation across calls.
     """
-    if engine not in ("batched", "scalar"):
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'batched' or 'scalar'")
+    # Imported here: robust.py imports ToleranceSpec from this module.
+    from repro.core.engine import CompiledTemplate
+    from repro.optimize.robust import CornerSet, PENALTY_NF_DB, PENALTY_GT_DB
+
     tolerances = tolerances or ToleranceSpec()
     spec = spec or DesignSpec()
     band_grid = band_grid or design_grid(13)
     guard_grid = guard_grid or stability_grid(16)
     rng = np.random.default_rng(seed)
 
-    failures: Dict[str, int] = {"nf": 0, "gt": 0, "stability": 0}
+    corners = CornerSet.monte_carlo(tolerances, n_trials, rng)
+    x_trials = corners.apply(nominal.to_vector())
+    if compiled is None:
+        compiled = CompiledTemplate(template, band_grid, guard_grid,
+                                    verify=False)
+    batch, trial_failures, _ = (
+        compiled.performance_batch_physical_isolated(x_trials))
+    quarantined = np.array([f is not None for f in trial_failures])
+    nf_max = np.asarray(batch.nf_max_db, dtype=float).copy()
+    gt_min = np.asarray(batch.gt_min_db, dtype=float).copy()
+    mu_min = np.asarray(batch.mu_min, dtype=float).copy()
+    # A quarantined board fails every shipping check by construction.
+    nf_max[quarantined] = PENALTY_NF_DB
+    gt_min[quarantined] = PENALTY_GT_DB
+    mu_min[quarantined] = 0.0
 
-    if engine == "batched":
-        nf_max, gt_min, mu_min, n_quarantined = _batched_trials(
-            template, nominal, tolerances, n_trials, rng,
-            band_grid, guard_grid, compiled,
-        )
-        if n_quarantined:
-            failures["quarantined"] = n_quarantined
-    else:
-        nf_max = np.empty(n_trials)
-        gt_min = np.empty(n_trials)
-        mu_min = np.empty(n_trials)
-        for trial in range(n_trials):
-            perturbed = _perturb(nominal, tolerances, rng)
-            perf = template.evaluate(perturbed, band_grid, guard_grid)
-            nf_max[trial] = perf.nf_max_db
-            gt_min[trial] = perf.gt_min_db
-            mu_min[trial] = perf.mu_min
+    failures: Dict[str, int] = {"nf": 0, "gt": 0, "stability": 0}
+    if np.any(quarantined):
+        failures["quarantined"] = int(np.sum(quarantined))
 
     n_pass = 0
     for trial in range(n_trials):
@@ -190,59 +185,3 @@ def monte_carlo_yield(
         mu_min=mu_min,
         failures=failures,
     )
-
-
-def _batched_trials(template, nominal, tolerances, n_trials, rng,
-                    band_grid, guard_grid, compiled):
-    """All Monte-Carlo trials as one fault-isolated batched solve."""
-    # Imported here: robust.py imports ToleranceSpec from this module.
-    from repro.core.engine import CompiledTemplate
-    from repro.optimize.robust import CornerSet, PENALTY_NF_DB, PENALTY_GT_DB
-
-    corners = CornerSet.monte_carlo(tolerances, n_trials, rng)
-    x_trials = corners.apply(nominal.to_vector())
-    if compiled is None:
-        compiled = CompiledTemplate(template, band_grid, guard_grid,
-                                    verify=False)
-    batch, trial_failures, _ = (
-        compiled.performance_batch_physical_isolated(x_trials))
-    quarantined = np.array([f is not None for f in trial_failures])
-    nf_max = np.asarray(batch.nf_max_db, dtype=float).copy()
-    gt_min = np.asarray(batch.gt_min_db, dtype=float).copy()
-    mu_min = np.asarray(batch.mu_min, dtype=float).copy()
-    # A quarantined board fails every shipping check by construction.
-    nf_max[quarantined] = PENALTY_NF_DB
-    gt_min[quarantined] = PENALTY_GT_DB
-    mu_min[quarantined] = 0.0
-    return nf_max, gt_min, mu_min, int(np.sum(quarantined))
-
-
-def _perturb(nominal: DesignVariables, tolerances: ToleranceSpec,
-             rng: np.random.Generator) -> DesignVariables:
-    """One scalar trial's perturbed board.
-
-    Draws exactly one uniform variate per design variable in
-    :data:`DesignVariables.NAMES` order — the contract
-    :meth:`~repro.optimize.robust.CornerSet.monte_carlo` matches so the
-    batched engine perturbs bit-identical boards from the same
-    generator.
-    """
-    def rel(value, width):
-        return value * (1.0 + width * (2.0 * rng.random() - 1.0))
-
-    def absolute(value, width):
-        return value + width * (2.0 * rng.random() - 1.0)
-
-    perturbed = DesignVariables(
-        vgs=absolute(nominal.vgs, tolerances.vgs_volts),
-        vds=absolute(nominal.vds, tolerances.vds_volts),
-        l_in=rel(nominal.l_in, tolerances.inductor),
-        l_deg=rel(nominal.l_deg, tolerances.inductor),
-        c_in=rel(nominal.c_in, tolerances.capacitor),
-        c_out=rel(nominal.c_out, tolerances.capacitor),
-        l_choke=rel(nominal.l_choke, tolerances.inductor),
-        r_stab=rel(nominal.r_stab, tolerances.resistor),
-        r_sh=rel(nominal.r_sh, tolerances.resistor),
-        c_sh=rel(nominal.c_sh, tolerances.capacitor),
-    )
-    return perturbed

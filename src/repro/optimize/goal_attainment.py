@@ -602,24 +602,7 @@ def goal_attainment_improved(
         probes = _seed_population(probes, initial_population,
                                   problem.lower, problem.upper)
         with _obs_tracer.span("goal_attainment.probe", n_probe=n_probe):
-            if problem.objectives_batch is not None:
-                # Population-level evaluation: one batched model solve
-                # for the whole sample, counted exactly like the
-                # per-point loop.
-                try:
-                    probe_values = np.asarray(
-                        problem.objectives_batch(probes), dtype=float
-                    )
-                    counter.nfev += len(probes)
-                except FAILURE_EXCEPTIONS:
-                    health.retries += 1
-                    probe_values = np.array([counter(p) for p in probes])
-            else:
-                probe_values = np.array([counter(p) for p in probes])
-        bad = ~np.all(np.isfinite(probe_values), axis=1)
-        if np.any(bad):
-            health.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
-            probe_values[bad] = PENALTY_OBJECTIVE
+            probe_values = counter.batch(probes)
         if problem.constraints is not None:
             if problem.constraints_batch is not None:
                 feas = np.all(
@@ -636,6 +619,7 @@ def goal_attainment_improved(
         # Failed probes would inflate the ranges (and hence the
         # auto-scaled weights) by the penalty magnitude; scale from the
         # healthy probes only.
+        bad = np.any(probe_values == PENALTY_OBJECTIVE, axis=1)
         healthy = probe_values[~bad] if np.any(~bad) else probe_values
         ranges = np.maximum(
             healthy.max(axis=0) - healthy.min(axis=0), 1e-9

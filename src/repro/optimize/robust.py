@@ -286,13 +286,12 @@ class CornerSet:
     def monte_carlo(cls, tolerances: Optional[ToleranceSpec] = None,
                     n_trials: int = 16,
                     rng=0) -> "CornerSet":
-        """Uniform Monte-Carlo corners matching the scalar trial loop.
+        """Uniform Monte-Carlo corners, one board per trial.
 
         Each trial draws one uniform variate per design variable **in
-        :data:`DesignVariables.NAMES` order** — exactly the RNG
-        consumption of the scalar ``monte_carlo_yield`` ``_perturb``
-        loop, so given the same generator the batched sweep perturbs
-        bit-identical boards.
+        :data:`DesignVariables.NAMES` order**, so a per-trial loop that
+        perturbs one variable at a time from the same generator builds
+        bit-identical boards (the scalar oracle in the tolerance tests).
         """
         tolerances = tolerances or ToleranceSpec()
         if n_trials < 1:
@@ -718,13 +717,9 @@ def build_robust_problem(template: AmplifierTemplate,
             -robust.gt_worst_db,
             -robust.yield_fraction,
         ])
-        constraints = np.column_stack([
-            np.max(nominal.s11_db, axis=1) + spec.rl_spec_db,
-            np.max(nominal.s22_db, axis=1) + spec.rl_spec_db,
-            spec.mu_margin - nominal.mu_min,
-            nominal.gt_ripple_db - spec.ripple_spec_db,
-            (nominal.ids - spec.ids_max) / spec.ids_max,
-        ])
+        constraints = spec.constraints(
+            nominal.s11_db, nominal.s22_db, nominal.mu_min,
+            nominal.gt_ripple_db, nominal.ids)
         memo.update(key=key, objectives=objectives, constraints=constraints)
         return objectives, constraints
 

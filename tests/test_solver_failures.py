@@ -27,7 +27,11 @@ from repro.core.bands import design_grid, stability_grid
 from repro.core.engine import CompiledTemplate
 from repro.core.objectives import LnaEvaluator
 from repro.experiments.common import reference_device
-from repro.optimize.faults import CATEGORY_BAD_BIAS, CATEGORY_DC
+from repro.optimize.faults import (
+    CATEGORY_BAD_BIAS,
+    CATEGORY_DC,
+    EvaluationFailure,
+)
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +247,21 @@ def test_dc_convergence_error_propagates_through_scalar_evaluate(
 # LnaEvaluator: penalties counted, logged, never cached
 # ----------------------------------------------------------------------
 
+def _diverging_solve(evaluator):
+    """A canned engine solve whose every row's bias point diverges, as
+    the engine reports it: one penalty record per row."""
+    def solve(rows):
+        return [evaluator._penalty(EvaluationFailure(
+            CATEGORY_DC, "Newton iteration diverged", x=x.copy()))
+            for x in rows], 0
+    return solve
+
+
 def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
         template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar")
-    template.device.dc_model = ExplodingDcModel(template.device.dc_model)
+    evaluator = LnaEvaluator(template, band, guard)
+    evaluator._solve_misses = _diverging_solve(evaluator)
 
     x = np.full(len(DesignVariables.NAMES), 0.5)
     perf = evaluator.performance(x)
@@ -267,13 +281,12 @@ def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
 
 def test_evaluator_recovers_after_transient_failure(template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard, engine="scalar")
-    honest = template.device.dc_model
-    template.device.dc_model = ExplodingDcModel(honest)
+    evaluator = LnaEvaluator(template, band, guard)
+    evaluator._solve_misses = _diverging_solve(evaluator)
     x = np.full(len(DesignVariables.NAMES), 0.5)
     assert evaluator.performance(x).is_failure
 
-    template.device.dc_model = honest  # the "transient" clears
+    del evaluator._solve_misses  # the "transient" clears
     recovered = evaluator.performance(x)
     assert not recovered.is_failure
     assert np.all(np.isfinite(recovered.nf_db))
@@ -286,8 +299,7 @@ def test_evaluator_recovers_after_transient_failure(template, grids):
 def test_evaluator_compiled_batch_mixes_penalty_and_healthy(
         template, grids):
     band, guard = grids
-    evaluator = LnaEvaluator(template, band, guard)  # compiled
-    assert evaluator.engine == "compiled"
+    evaluator = LnaEvaluator(template, band, guard)
     template.device.dc_model = BiasFaultDcModel(template.device.dc_model,
                                                 vgs_threshold=0.40)
     n = len(DesignVariables.NAMES)

@@ -25,7 +25,11 @@ from repro.analysis.netlist import Circuit
 from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.engine import CompiledTemplate, CompileError
-from repro.core.objectives import LnaEvaluator, build_lna_problem
+from repro.core.objectives import (
+    DesignSpec,
+    LnaEvaluator,
+    build_lna_problem,
+)
 from repro.experiments.common import reference_device
 from repro.guards.modes import guard_mode
 from repro.obs.metrics import Metrics, get_metrics, set_metrics
@@ -141,14 +145,26 @@ def test_engine_pickle_round_trips_solver(lna_template, legacy_solver):
 
 
 def test_design_problem_agrees_across_tiers(lna_template):
-    compiled = build_lna_problem(lna_template, evaluator=LnaEvaluator(
-        lna_template))
-    scalar = build_lna_problem(lna_template, evaluator=LnaEvaluator(
-        lna_template, engine="scalar"))
+    evaluator = LnaEvaluator(lna_template)
+    problem = build_lna_problem(lna_template, evaluator=evaluator)
+    spec = DesignSpec()
     pop = np.random.default_rng(17).random((64, len(DesignVariables.NAMES)))
-    for name in ("objectives_batch", "constraints_batch"):
-        np.testing.assert_allclose(getattr(compiled, name)(pop),
-                                   getattr(scalar, name)(pop),
+    oracle = [lna_template.evaluate(DesignVariables.from_unit(x),
+                                    evaluator.band_grid,
+                                    evaluator.guard_grid)
+              for x in pop]
+    expected = {
+        "objectives_batch": [[p.nf_max_db, -p.gt_min_db] for p in oracle],
+        "constraints_batch": [[
+            np.max(p.s11_db) + spec.rl_spec_db,
+            np.max(p.s22_db) + spec.rl_spec_db,
+            spec.mu_margin - p.mu_min,
+            p.gt_ripple_db - spec.ripple_spec_db,
+            (p.ids - spec.ids_max) / spec.ids_max,
+        ] for p in oracle],
+    }
+    for name, rows in expected.items():
+        np.testing.assert_allclose(getattr(problem, name)(pop), rows,
                                    rtol=1e-9, atol=1e-9)
 
 
@@ -243,7 +259,7 @@ def test_singular_batch_is_resolved_row_by_row(monkeypatch, fresh_metrics,
                                               getattr(single, name)[0])
 
 
-def test_uncondensable_template_falls_back_to_scalar(monkeypatch,
+def test_uncondensable_template_raises_compile_error(monkeypatch,
                                                      lna_template):
     def no_plan(*args, **kwargs):
         raise PatternError("constant internal block is singular")
@@ -251,15 +267,8 @@ def test_uncondensable_template_falls_back_to_scalar(monkeypatch,
     monkeypatch.setattr("repro.core.engine.build_plan", no_plan)
     with pytest.raises(CompileError, match="condensed"):
         CompiledTemplate(lna_template, verify=False)
-    with pytest.warns(RuntimeWarning, match="scalar path"):
-        evaluator = LnaEvaluator(lna_template)
-    assert evaluator.engine == "scalar"
-    unit_x = np.full(len(DesignVariables.NAMES), 0.4)
-    expected = lna_template.evaluate(
-        DesignVariables.from_unit(unit_x), evaluator.band_grid,
-        evaluator.guard_grid)
-    np.testing.assert_array_equal(evaluator.performance(unit_x).nf_db,
-                                  expected.nf_db)
+    with pytest.raises(CompileError, match="condensed"):
+        LnaEvaluator(lna_template)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,35 @@ from repro.core.engine import CompiledTemplate
 from repro.core.tolerance import ToleranceSpec, monte_carlo_yield
 
 
+def _perturb(nominal: DesignVariables, tolerances: ToleranceSpec,
+             rng: np.random.Generator) -> DesignVariables:
+    """One trial's perturbed board, one variable at a time.
+
+    Draws exactly one uniform variate per design variable in
+    :data:`DesignVariables.NAMES` order — the contract
+    :meth:`~repro.optimize.robust.CornerSet.monte_carlo` matches, so
+    both perturb bit-identical boards from the same generator.
+    """
+    def rel(value, width):
+        return value * (1.0 + width * (2.0 * rng.random() - 1.0))
+
+    def absolute(value, width):
+        return value + width * (2.0 * rng.random() - 1.0)
+
+    return DesignVariables(
+        vgs=absolute(nominal.vgs, tolerances.vgs_volts),
+        vds=absolute(nominal.vds, tolerances.vds_volts),
+        l_in=rel(nominal.l_in, tolerances.inductor),
+        l_deg=rel(nominal.l_deg, tolerances.inductor),
+        c_in=rel(nominal.c_in, tolerances.capacitor),
+        c_out=rel(nominal.c_out, tolerances.capacitor),
+        l_choke=rel(nominal.l_choke, tolerances.inductor),
+        r_stab=rel(nominal.r_stab, tolerances.resistor),
+        r_sh=rel(nominal.r_sh, tolerances.resistor),
+        c_sh=rel(nominal.c_sh, tolerances.capacitor),
+    )
+
+
 @pytest.fixture(scope="module")
 def template():
     from repro.devices.reference import make_reference_device
@@ -107,25 +136,29 @@ class TestMonteCarloYield:
 class TestBatchedEngine:
     def test_batched_matches_scalar_reference(self, template,
                                               fast_compiled):
-        kwargs = dict(n_trials=16, seed=7, gt_ship_limit_db=11.0,
-                      band_grid=design_grid(5),
-                      guard_grid=stability_grid(6))
+        n_trials, gt_ship_limit_db = 16, 11.0
         batched = monte_carlo_yield(template, DesignVariables(),
-                                    engine="batched",
-                                    compiled=fast_compiled, **kwargs)
-        scalar = monte_carlo_yield(template, DesignVariables(),
-                                   engine="scalar", **kwargs)
-        np.testing.assert_allclose(batched.nf_max_db, scalar.nf_max_db,
-                                   atol=1e-9)
-        np.testing.assert_allclose(batched.gt_min_db, scalar.gt_min_db,
-                                   atol=1e-9)
-        np.testing.assert_allclose(batched.mu_min, scalar.mu_min,
-                                   atol=1e-9)
-        assert batched.n_pass == scalar.n_pass
-        assert batched.failures == scalar.failures
+                                    n_trials=n_trials, seed=7,
+                                    gt_ship_limit_db=gt_ship_limit_db,
+                                    compiled=fast_compiled)
+        rng = np.random.default_rng(7)
+        scalar = [template.evaluate(
+            _perturb(DesignVariables(), ToleranceSpec(), rng),
+            fast_compiled.band_grid, fast_compiled.guard_grid)
+            for _ in range(n_trials)]
+        for name in ("nf_max_db", "gt_min_db", "mu_min"):
+            np.testing.assert_allclose(
+                getattr(batched, name),
+                [getattr(perf, name) for perf in scalar], atol=1e-9)
+        fails = np.array([[perf.nf_max_db > 0.8,
+                           perf.gt_min_db < gt_ship_limit_db,
+                           perf.mu_min <= 1.0] for perf in scalar])
+        assert batched.failures == dict(zip(
+            ("nf", "gt", "stability"), fails.sum(axis=0).tolist()))
+        assert batched.n_pass == int(np.sum(~fails.any(axis=1)))
 
     def test_unknown_engine_rejected(self, template):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError):
             monte_carlo_yield(template, DesignVariables(), n_trials=2,
                               engine="spice")
 
