@@ -156,6 +156,29 @@ def _rank1_factors(lrows, lcols, signs, m):
     return right_t[0] * scale, left[:, 0] * scale
 
 
+def _scatter_layers(groups: Sequence[_LocalGroup], m: int):
+    """The groups' stamp entries as few scatters that each touch an
+    entry of the flat ``(m * m)`` transposed system at most once.
+
+    Layer *k* holds the *k*-th group (in group order) to touch each
+    entry, so adding the layers in turn sums every entry in the same
+    order as one scatter per group, bit for bit.  Returns
+    ``[(flat_index, group_index, signs), ...]``.
+    """
+    layers: List[List[tuple]] = []
+    touches: Dict[int, int] = {}
+    for g, group in enumerate(groups):
+        for flat, sign in zip(group.lcols * m + group.lrows, group.signs):
+            k = touches.get(int(flat), 0)
+            touches[int(flat)] = k + 1
+            if k == len(layers):
+                layers.append([])
+            layers[k].append((int(flat), g, float(sign)))
+    return [(np.array([e[0] for e in layer]),
+             np.array([e[1] for e in layer]),
+             np.array([e[2] for e in layer])) for layer in layers]
+
+
 class SparsePlan:
     """A compiled reduced-system solve plan for one topology.
 
@@ -182,6 +205,7 @@ class SparsePlan:
         # assemble into each other's buffer.
         self._scratch = threading.local()
         self._rhs_tiled: Dict[int, np.ndarray] = {}
+        self._layers = _scatter_layers(groups, self.n_reduced)
 
     @property
     def n_reduced(self) -> int:
@@ -210,13 +234,34 @@ class SparsePlan:
         if mt is None or mt.shape[0] != n_batch:
             mt = np.empty((n_batch,) + self._schur_t.shape, dtype=complex)
             self._scratch.mt = mt
+            self._scratch.coef = np.empty(
+                (n_batch, self.n_freq, len(self._groups)), dtype=complex)
         np.copyto(mt, self._schur_t)
-        for group in self._groups:
-            c = np.asarray(coeffs[group.name], dtype=complex)
-            if c.ndim == 1:
-                c = c[None, :]
-            mt[..., group.lcols, group.lrows] += group.signs * c[..., None]
+        coef = self._scratch.coef
+        for g, group in enumerate(self._groups):
+            coef[:, :, g] = coeffs[group.name]
+        flat = mt.reshape(n_batch, self.n_freq, -1)
+        for index, group_of, signs in self._layers:
+            flat[..., index] += signs * coef[..., group_of]
+        self._scratch.assembled = (coeffs, mt)
         return mt
+
+    def assembled_matrix(self, coeffs, candidate: int = 0,
+                         f_index: Optional[int] = None
+                         ) -> Optional[np.ndarray]:
+        """The reduced matrix ``M`` this thread last assembled from
+        *coeffs*, read from the solve's own buffer.
+
+        Equal to :meth:`sample_matrix` on the same arguments, without a
+        second scatter; valid after :meth:`solve_rows` returned or
+        raised.  ``None`` when the last assembly on this thread was not
+        of *coeffs* (the solve raised before assembling).
+        """
+        assembled = getattr(self._scratch, "assembled", None)
+        if assembled is None or assembled[0] is not coeffs:
+            return None
+        f = self.n_freq // 2 if f_index is None else int(f_index)
+        return assembled[1][candidate, f].T.copy()
 
     def sample_matrix(self, coeffs, candidate: int = 0,
                       f_index: Optional[int] = None) -> np.ndarray:

@@ -23,14 +23,18 @@ Schur-eliminated at compile time (:mod:`repro.analysis.sparsemna`), so
 a candidate batch only factorizes the small reduced system over the
 fused design *and* stability guard grid (rows are independent in MNA,
 so fusing the two frequency axes is exact).  A template whose constant
-block cannot be condensed raises :class:`CompileError`; callers such as
-:class:`repro.core.objectives.LnaEvaluator` then evaluate on the scalar
-path.
+block cannot be condensed raises :class:`CompileError`.
 
-Element values are computed by the *same* component models as the
-scalar path (:mod:`repro.passives.rlc` factories, the device's DC and
-capacitance models), evaluated on ``(B, 1)`` value arrays, so the
-numbers agree with the scalar path to floating-point roundoff.  Because
+Element values are compiled the same way.  The frequency-only factors
+of the six dispersive matching passives (``omega``, ``1j * omega``,
+``sqrt(f / 1 GHz)``) and the device's ``exp(-j omega tau)`` are hoisted
+at construction; a call evaluates only the value-dependent arithmetic
+of the :mod:`repro.passives.rlc` catalogue models, in their order, on
+``(B, 1)`` value stacks, so every admittance and thermal-noise stamp is
+bit-identical to the component model's.  The device's DC and
+capacitance models are called as they are (they are pluggable), and a
+row whose model raises becomes that row's failure record.  The numbers
+agree with the scalar path to floating-point roundoff.  Because
 the constant/variable split is an assumption about
 :meth:`AmplifierTemplate.build_circuit`, compilation **verifies** it:
 the compiled engine is checked against the scalar path at two probe
@@ -83,7 +87,10 @@ from repro.optimize.faults import (
     FAILURE_EXCEPTIONS,
     classify_exception,
 )
-from repro.passives.rlc import (
+from repro.passives.rlc import _F_SKIN_REF
+# Unused here; the e2e layer tracer (benchmarks/e2e/layers.py) patches
+# them.  The compiled element values below reproduce these models.
+from repro.passives.rlc import (  # noqa: F401
     _two_terminal_stack,
     coilcraft_style_inductor,
     murata_style_capacitor,
@@ -103,6 +110,54 @@ __all__ = [
 ]
 
 _2KT0 = 2.0 * BOLTZMANN * 290.0
+_2K = 2.0 * BOLTZMANN
+_2KT = 2.0 * BOLTZMANN * T_AMBIENT
+
+#: The matching passives with their design variables, capacitors
+#: first: the order of the compiled element-value stacks.
+_PASSIVE_VARIABLES = (("Cin", "c_in"), ("Cout", "c_out"), ("Csh", "c_sh"),
+                      ("Lin", "l_in"), ("Ldeg", "l_deg"),
+                      ("Lchoke", "l_choke"))
+_PASSIVES = tuple(name for name, _ in _PASSIVE_VARIABLES)
+_N_CAPACITORS = 3
+_COLUMN = {name: k for k, name in enumerate(DesignVariables.NAMES)}
+_PASSIVE_COLUMNS = [_COLUMN[var] for _, var in _PASSIVE_VARIABLES]
+_RESISTOR_COLUMNS = [_COLUMN["r_stab"], _COLUMN["r_sh"]]
+
+#: Real parts of a two-terminal block ``[[y, -y], [-y, y]]``.
+_TWO_TERMINAL_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _capacitor_admittance(c, omega, sqrt_f):
+    """``murata_style_capacitor(c).admittance(f)`` on hoisted factors.
+
+    Evaluates :meth:`repro.passives.rlc.RealCapacitor.impedance` in its
+    own order and with the factory's parasitics, so every element is
+    bit-identical to the component model's.
+    """
+    small = c < 10e-12
+    esl = np.where(small, 0.35e-9, 0.5e-9)
+    esr = np.where(small, 0.04, 0.08)
+    omega_c = omega * c
+    r_conductor = esr * sqrt_f
+    r_dielectric = 5e-4 / omega_c
+    reactance = omega * esl - 1.0 / omega_c
+    return 1.0 / (r_conductor + r_dielectric + 1j * reactance)
+
+
+def _inductor_admittance(inductance, jw, sqrt_f):
+    """``coilcraft_style_inductor(l).admittance(f)`` on hoisted factors.
+
+    :meth:`repro.passives.rlc.RealInductor.impedance` in its own order,
+    including the double reciprocal of ``admittance(impedance)``.
+    """
+    scale = np.sqrt(inductance / 10e-9)
+    r_series = 0.08 * scale + 0.55 * scale * sqrt_f
+    c_parallel = 0.08e-12 * (1.0 + 0.4 * scale)
+    z_winding = r_series + jw * inductance
+    y_total = 1.0 / z_winding + jw * c_parallel + 1.0 / 60e3
+    return 1.0 / (1.0 / y_total)
+
 
 #: Rows one fault-isolated solve factorizes at a time.  A row peaks at
 #: ~130 KB (the ``(B, F, m, m)`` reduced systems and LAPACK's copy), so
@@ -231,7 +286,19 @@ class CompiledTemplate:
         # fused axis is exact for both grids.
         self._f_fused = np.concatenate([self.band_grid.f_hz,
                                         self.guard_grid.f_hz])
+        # Frequency-only factors of the element values, hoisted out of
+        # the per-call path (same expressions as the component models).
+        omega = 2.0 * np.pi * self._f_fused
+        self._omega = omega
+        self._jw = 1j * omega
+        self._sqrt_f = np.sqrt(self._f_fused / _F_SKIN_REF)
+        self._gm_phase = np.exp(-1j * omega * template.device.capacitances.tau)
         self._compile()
+        # The noise figure's port reference source, as NoisyTwoPort
+        # derives it: (zs, conj(zs), |zs|^2, 2kT0 Re(zs)).
+        zs = 1.0 / (1.0 / self._z0)
+        self._source_terms = (zs, np.conjugate(zs), np.abs(zs) ** 2,
+                              _2KT0 * np.real(zs))
         try:
             self._plan = self._build_sparse_plan()
         except PatternError as exc:
@@ -440,6 +507,10 @@ class CompiledTemplate:
                 self._sc_const[:, idx] = payload
             else:
                 self._sc_var.append((idx, payload))
+        # Variable blocks are the matching passives' 2kT Re(Y) stamps;
+        # their positions are kept in _PASSIVES order, and the constant
+        # table already holds the -0.0 imaginary parts of -(v + 0j) in
+        # their off-diagonals, so a call only writes the real parts.
         self._blk_layout: Dict[int, tuple] = {}
         for width, entries in sp_blocks.items():
             cols = np.concatenate([
@@ -447,13 +518,22 @@ class CompiledTemplate:
             ])
             const_psd = np.zeros((n_band, len(entries), width, width),
                                  dtype=complex)
-            var_entries = []
+            var_at = {}
             for idx, (_, kind, payload) in enumerate(entries):
                 if kind == "const":
                     const_psd[:, idx] = payload
                 else:
-                    var_entries.append((idx, payload))
-            self._blk_layout[width] = (cols, const_psd, var_entries)
+                    var_at[payload] = idx
+            var_idx = None
+            if var_at:
+                if width != 2 or sorted(var_at) != sorted(_PASSIVES):
+                    raise CompileError(
+                        f"unexpected design-dependent noise blocks "
+                        f"{sorted(var_at)}")
+                var_idx = np.array([var_at[name] for name in _PASSIVES])
+                const_psd[:, var_idx, 0, 1] = complex(0.0, -0.0)
+                const_psd[:, var_idx, 1, 0] = complex(0.0, -0.0)
+            self._blk_layout[width] = (cols, const_psd, var_idx)
 
         groups = [MutableGroup(name, slot.rows, slot.cols, slot.signs)
                   for name, slot in self._slots.items()]
@@ -471,10 +551,29 @@ class CompiledTemplate:
         inv[..., 1, 1] = a[..., 0, 0]
         return inv / det[..., None, None]
 
+    def _block_psd(self, const_psd: np.ndarray, var_idx: np.ndarray,
+                   passive_psd: np.ndarray, n_batch: int) -> np.ndarray:
+        """The ``(B, Fb, nb, 2, 2)`` noise-block PSDs of one call.
+
+        The constant table, with each matching passive's
+        ``[[v, -v], [-v, v]]`` (v = 2kT Re(Y)) written into the real
+        parts of its block: bit for bit the component model's
+        ``cy_function`` stack, signed zeros included.
+        """
+        n_band = self._n_band
+        psd = np.empty((n_batch,) + const_psd.shape, dtype=complex)
+        psd[...] = const_psd
+        # (B, Fb, nb, 2, 4): real parts sit at the even float offsets.
+        psd.view(float)[:, :, var_idx, :, 0::2] = (
+            passive_psd[:, :, :n_band].transpose(1, 2, 0)[..., None, None]
+            * _TWO_TERMINAL_SIGNS)
+        return psd
+
     def _sparse_figures(self, v_ports: np.ndarray, n_batch: int,
-                        scalar_psds, block_psds):
+                        scalar_psds, passive_psd):
         """S-parameters and band noise correlation from the plan's
-        port-row solution ``(B, F_fused, 2, K)``."""
+        port-row solution ``(B, F_fused, 2, K)``; *passive_psd* is the
+        ``(6, B, F_fused)`` 2kT Re(Y) of the matching passives."""
         n_band = self._n_band
         # The port loads are stamped into the reduced matrix, so the
         # 2x2 port block of the solution is the *loaded* impedance
@@ -498,17 +597,14 @@ class CompiledTemplate:
                 psd_stack[:, :, idx] = scalar_psds[name][:, :n_band]
             i_s_h = np.conjugate(np.swapaxes(i_s, -1, -2))
             cy += (i_s * psd_stack[..., None, :]) @ i_s_h
-        for width, (cols, const_psd, var_entries) in self._blk_layout.items():
+        for width, (cols, const_psd, var_idx) in self._blk_layout.items():
             nb = const_psd.shape[1]
             x = i_all[..., cols].reshape(
                 n_batch, n_band, 2, nb, width)           # (B, Fb, 2, nb, w)
-            if var_entries:
-                psd = np.empty(
-                    (n_batch, n_band, nb, width, width), dtype=complex)
-                psd[...] = const_psd
-                for idx, name in var_entries:
-                    psd[:, :, idx] = block_psds[name][:, :n_band]
-                psd = psd[:, :, None]                    # (B, Fb, 1, nb, w, w)
+            if var_idx is not None:
+                # (B, Fb, 1, nb, w, w)
+                psd = self._block_psd(const_psd, var_idx, passive_psd,
+                                      n_batch)[:, :, None]
             else:
                 psd = const_psd[None, :, None]           # (1, Fb, 1, nb, w, w)
             # y[..., p, k, v] = sum_u x[..., p, k, u] psd[..., k, u, v];
@@ -524,86 +620,106 @@ class CompiledTemplate:
     def _candidate_values(self, x_physical: np.ndarray):
         """Vectorized element values for a (B, n_vars) design matrix.
 
-        Returns ``(admittances, scalar_psds, block_psds, ids, bad_mask)``
-        where admittances maps slot name -> (B, F) complex, scalar_psds
-        maps noise-source name -> (B, 1) or (B, F), block_psds maps
-        YBlock name -> (B, F, 2, 2), and bad_mask is a (B,) bool array
-        flagging candidates whose bias point is unusable (``gds <= 0``
-        or non-finite small-signal parameters).  The flagged rows get a
-        benign placeholder bias, which keeps the tensor solvable for the
-        healthy rows; the caller overwrites them with penalties.
+        Returns ``(admittances, scalar_psds, passive_psd, ids, bad_mask,
+        raised)``: admittances maps slot name -> (B, F) or (B, 1)
+        complex, scalar_psds maps noise-source name -> (B, 1),
+        passive_psd is the (6, B, F) thermal 2kT Re(Y) of the matching
+        passives in ``_PASSIVES`` order, bad_mask is a (B,) bool array
+        flagging candidates whose bias point is unusable (``gds <= 0``,
+        non-finite small-signal parameters, or a device model that
+        raised), and raised maps such a row to the exception its device
+        model raised.  The flagged rows get a benign placeholder bias,
+        which keeps the tensor solvable for the healthy rows; the
+        caller overwrites them with penalties.
+
+        Raises ``ValueError`` on a non-positive capacitance or
+        inductance, as the component models do.
         """
-        index = {name: k for k, name in enumerate(DesignVariables.NAMES)}
-        col = lambda name: x_physical[:, index[name]]  # noqa: E731
-        f = self._f_fused
-        omega = 2.0 * np.pi * f
-        device = self.template.device
-
-        admittances: Dict[str, np.ndarray] = {}
-        scalar_psds: Dict[str, np.ndarray] = {}
-        block_psds: Dict[str, np.ndarray] = {}
-
-        # Matching passives: the same catalogue models as build_circuit,
-        # evaluated on (B, 1) value columns so each row is bitwise the
-        # scalar computation.
-        passives = {
-            "Cin": murata_style_capacitor(col("c_in")[:, None], name="Cin"),
-            "Cout": murata_style_capacitor(col("c_out")[:, None],
-                                           name="Cout"),
-            "Csh": murata_style_capacitor(col("c_sh")[:, None], name="Csh"),
-            "Lin": coilcraft_style_inductor(col("l_in")[:, None],
-                                            name="Lin"),
-            "Ldeg": coilcraft_style_inductor(col("l_deg")[:, None],
-                                             name="Ldeg"),
-            "Lchoke": coilcraft_style_inductor(col("l_choke")[:, None],
-                                               name="Lchoke"),
-        }
-        for name, component in passives.items():
-            y = np.asarray(component.admittance(f), dtype=complex)
-            admittances[name] = y
-            g = np.real(y)
-            block_psds[name] = _two_terminal_stack(
-                (2.0 * BOLTZMANN * T_AMBIENT * g).astype(complex)
-            )
+        # Matching passives: rlc's catalogue models on (3, B, 1) value
+        # stacks over the hoisted frequency factors, so each row is
+        # bitwise the scalar computation.
+        values = x_physical[:, _PASSIVE_COLUMNS]
+        nonpositive = values <= 0
+        if nonpositive.any():
+            k = int(np.flatnonzero(nonpositive.any(axis=0))[0])
+            kind = "capacitance" if k < _N_CAPACITORS else "inductance"
+            raise ValueError(f"{_PASSIVES[k]}: {kind} must be positive")
+        stacked = values.T[..., None]
+        passive_y = np.concatenate([
+            _capacitor_admittance(stacked[:_N_CAPACITORS], self._omega,
+                                  self._sqrt_f),
+            _inductor_admittance(stacked[_N_CAPACITORS:], self._jw,
+                                 self._sqrt_f),
+        ])
+        admittances = dict(zip(_PASSIVES, passive_y))
+        passive_psd = _2KT * passive_y.real
 
         # Stabilization resistors: ideal (the scalar path uses
         # circuit.resistor), admittance flat over frequency.
-        for name, var in (("Rstab", "r_stab"), ("Rsh", "r_sh")):
-            r = col(var)[:, None]
-            admittances[name] = (1.0 / r).astype(complex)
-            scalar_psds[name] = 2.0 * BOLTZMANN * T_AMBIENT / r
+        r = x_physical[:, _RESISTOR_COLUMNS]
+        g = (1.0 / r).astype(complex)
+        psd = _2KT / r
+        admittances["Rstab"], admittances["Rsh"] = g[:, 0:1], g[:, 1:2]
+        scalar_psds = {"Rstab": psd[:, 0:1], "Rsh": psd[:, 1:2]}
 
         # Bias-dependent intrinsic device elements, from the same DC and
         # capacitance models the scalar path calls in intrinsic_at().
-        vgs = col("vgs")
-        vds = col("vds")
-        dc = device.dc_model
-        caps = device.capacitances
-        gm = np.asarray(dc.gm(vgs, vds), dtype=float)
-        gds = np.asarray(dc.gds(vgs, vds), dtype=float)
-        ids = np.asarray(dc.ids(vgs, vds), dtype=float)
-        bad_mask = (
-            ~np.isfinite(gm) | ~np.isfinite(gds) | ~np.isfinite(ids)
-            | (np.nan_to_num(gds, nan=-1.0) <= 0)
-        )
+        gm, gds, ids, cgs, cgd, raised = self._bias_values(
+            x_physical[:, _COLUMN["vgs"]], x_physical[:, _COLUMN["vds"]])
+        bad_mask = ~(np.isfinite(gm) & np.isfinite(gds) & np.isfinite(ids)
+                     & (gds > 0))
         if np.any(bad_mask):
             gm = np.where(bad_mask, 0.0, gm)
             gds = np.where(bad_mask, 1e-3, gds)
             ids = np.where(bad_mask, 0.0, ids)
-        cgs = np.asarray(caps.cgs(vgs), dtype=float)
-        cgd = np.asarray(caps.cgd(vds), dtype=float)
 
-        admittances["Q_Cgs"] = 1j * omega * cgs[:, None]
-        admittances["Q_Cgd"] = 1j * omega * cgd[:, None]
+        admittances["Q_Cgs"] = self._jw * cgs[:, None]
+        admittances["Q_Cgd"] = self._jw * cgd[:, None]
         # The scalar path stamps 1 / resistance with resistance set to
         # 1 / gds; replicate the double reciprocal for exactness.
         admittances["Q_Gds"] = (1.0 / (1.0 / gds[:, None])).astype(complex)
-        admittances["Q_gm"] = gm[:, None] * np.exp(
-            -1j * omega * caps.tau
-        )[None, :]
+        admittances["Q_gm"] = gm[:, None] * self._gm_phase[None, :]
+        device = self.template.device
         td = device.td0 + device.td_slope * ids
-        scalar_psds["Q_ind"] = (2.0 * BOLTZMANN * td * gds)[:, None]
-        return admittances, scalar_psds, block_psds, ids, bad_mask
+        scalar_psds["Q_ind"] = (_2K * td * gds)[:, None]
+        return admittances, scalar_psds, passive_psd, ids, bad_mask, raised
+
+    def _bias_values(self, vgs: np.ndarray, vds: np.ndarray):
+        """``(gm, gds, ids, cgs, cgd, raised)`` of the device models.
+
+        The models are pluggable and may raise (a DC solve that does
+        not converge).  Then every row is evaluated on its own: a row
+        that raises is recorded in *raised* and gets NaN bias values
+        (so it is masked as bad bias) and zero capacitances, and the
+        other rows keep their bits, since every value is per-row.
+        """
+        try:
+            return self._device_columns(vgs, vds) + ({},)
+        except FAILURE_EXCEPTIONS:
+            pass
+        columns = np.zeros((5, vgs.size))
+        columns[:3] = np.nan
+        raised: Dict[int, BaseException] = {}
+        for i in range(vgs.size):
+            try:
+                row = self._device_columns(vgs[i:i + 1], vds[i:i + 1])
+            except FAILURE_EXCEPTIONS as exc:
+                raised[i] = exc
+                continue
+            for k, value in enumerate(row):
+                columns[k, i:i + 1] = value
+        return tuple(columns) + (raised,)
+
+    def _device_columns(self, vgs: np.ndarray, vds: np.ndarray):
+        """``(gm, gds, ids, cgs, cgd)`` from the device's own models."""
+        device = self.template.device
+        dc = device.dc_model
+        caps = device.capacitances
+        return (np.asarray(dc.gm(vgs, vds), dtype=float),
+                np.asarray(dc.gds(vgs, vds), dtype=float),
+                np.asarray(dc.ids(vgs, vds), dtype=float),
+                np.asarray(caps.cgs(vgs), dtype=float),
+                np.asarray(caps.cgd(vds), dtype=float))
 
     # -- figures of merit ---------------------------------------------------
     def _figures(self, s: np.ndarray, cy_band: np.ndarray,
@@ -617,14 +733,14 @@ class CompiledTemplate:
         # port reference source: ca from cy via the network ABCD.
         abcd = cv.s_to_abcd(s_band, self._z0)
         ca = ca_from_cy(cy_band, abcd)
-        zs = 1.0 / (1.0 / self._z0)
+        zs, zs_conj, zs_abs2, kt_re_zs = self._source_terms
         e_total = (
             ca[..., 0, 0]
-            + np.conjugate(zs) * ca[..., 0, 1]
+            + zs_conj * ca[..., 0, 1]
             + zs * ca[..., 1, 0]
-            + np.abs(zs) ** 2 * ca[..., 1, 1]
+            + zs_abs2 * ca[..., 1, 1]
         ).real
-        noise_factor = 1.0 + e_total / (_2KT0 * np.real(zs))
+        noise_factor = 1.0 + e_total / kt_re_zs
         nf_db = 10.0 * np.log10(noise_factor)
 
         gt_db = 20.0 * np.log10(
@@ -637,6 +753,7 @@ class CompiledTemplate:
             np.maximum(np.abs(s_band[..., 1, 1]), 1e-12)
         )
         mu_min = np.min(mu_source(s_guard), axis=1)
+        gt_min_db = np.min(gt_db, axis=1)
         return BatchPerformance(
             frequency=self.band_grid,
             nf_db=nf_db,
@@ -646,8 +763,8 @@ class CompiledTemplate:
             mu_min=mu_min,
             ids=ids,
             nf_max_db=np.max(nf_db, axis=1),
-            gt_min_db=np.min(gt_db, axis=1),
-            gt_ripple_db=np.max(gt_db, axis=1) - np.min(gt_db, axis=1),
+            gt_min_db=gt_min_db,
+            gt_ripple_db=np.max(gt_db, axis=1) - gt_min_db,
         )
 
     # -- entry points: every one runs the fault-isolated solve -------------
@@ -692,10 +809,11 @@ class CompiledTemplate:
         re-solved alone; rows that still fail (singular systems,
         non-finite figures) go through the scalar
         :meth:`AmplifierTemplate.evaluate` path, and finally — if
-        nothing can evaluate them, or the bias is unusable — are
-        filled with the finite worst-case figures of
-        :meth:`AmplifierPerformance.penalty`.  A healthy row is
-        bit-identical whatever its neighbours.
+        nothing can evaluate them, the bias is unusable, or the
+        device model raised on them — are filled with the finite
+        worst-case figures of :meth:`AmplifierPerformance.penalty`.  A
+        healthy row is bit-identical whatever its neighbours.  A
+        non-positive capacitance or inductance raises ``ValueError``.
 
         Returns ``(batch, failures, n_fallbacks)``: the
         :class:`BatchPerformance`, a per-candidate list of
@@ -777,29 +895,29 @@ class CompiledTemplate:
         n_batch = x_physical.shape[0]
         failures: List[Optional[EvaluationFailure]] = [None] * n_batch
 
-        (admittances, scalar_psds, block_psds, ids,
-         bad_bias) = self._candidate_values(x_physical)
+        (admittances, scalar_psds, passive_psd, ids, bad_bias,
+         raised) = self._candidate_values(x_physical)
         s, cy_band, solver_failed = self._solve_isolated(
-            n_batch, admittances, scalar_psds, block_psds
+            n_batch, admittances, scalar_psds, passive_psd
         )
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             batch = self._figures(s, cy_band, ids)
-        finite = (
-            np.isfinite(batch.nf_db).all(axis=1)
-            & np.isfinite(batch.gt_db).all(axis=1)
-            & np.isfinite(batch.s11_db).all(axis=1)
-            & np.isfinite(batch.s22_db).all(axis=1)
-            & np.isfinite(batch.mu_min)
-            & np.isfinite(batch.ids)
-        )
+        finite = np.isfinite(np.concatenate(
+            [batch.nf_db, batch.gt_db, batch.s11_db, batch.s22_db,
+             batch.mu_min[:, None], batch.ids[:, None]], axis=1)).all(axis=1)
 
         for i in np.flatnonzero(bad_bias):
-            failures[i] = EvaluationFailure(
-                CATEGORY_BAD_BIAS,
-                "device biased outside the saturated forward region "
-                "(gds <= 0)",
-                x=x_report[i].copy(),
-            )
+            exc = raised.get(i)
+            if exc is not None:
+                failures[i] = EvaluationFailure(
+                    classify_exception(exc), str(exc), x=x_report[i].copy())
+            else:
+                failures[i] = EvaluationFailure(
+                    CATEGORY_BAD_BIAS,
+                    "device biased outside the saturated forward region "
+                    "(gds <= 0)",
+                    x=x_report[i].copy(),
+                )
             self._fill_row(batch, i, AmplifierPerformance.penalty(
                 self.band_grid, failures[i]))
 
@@ -857,7 +975,7 @@ class CompiledTemplate:
         return batch, failures, n_fallbacks
 
     def _solve_isolated(self, n_batch: int, admittances, scalar_psds,
-                        block_psds):
+                        passive_psd):
         """Fault-isolated condensed solve of one candidate batch.
 
         Returns ``(s, cy_band, failed)``.  When the batch factorization
@@ -868,15 +986,20 @@ class CompiledTemplate:
         Re-solved rows are bit-identical to one-row calls, so a
         singular neighbour does not change a healthy row's roundoff.
         """
-        if _guard_modes.enabled():
-            # The mid-grid *reduced* matrix of the first candidate is
-            # what this tier actually factorizes.
-            observe_condition(self._plan.sample_matrix(admittances), "mna")
         failed = np.zeros(n_batch, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 v_ports = self._plan.solve_rows(admittances, n_batch)
             except np.linalg.LinAlgError:
+                v_ports = None
+            if _guard_modes.enabled():
+                # The mid-grid *reduced* matrix of the first candidate,
+                # read from the buffer the batch solve factorized (or
+                # failed to).
+                sample = self._plan.assembled_matrix(admittances)
+                if sample is not None:
+                    observe_condition(sample, "mna")
+            if v_ports is None:
                 _obs_metrics.inc("mna.batch_refactorizations")
                 v_ports = np.full(
                     (n_batch, self._f_fused.size, self._plan.n_out,
@@ -888,7 +1011,7 @@ class CompiledTemplate:
                     except np.linalg.LinAlgError:
                         failed[i] = True
             s, cy_band = self._sparse_figures(v_ports, n_batch,
-                                              scalar_psds, block_psds)
+                                              scalar_psds, passive_psd)
         return s, cy_band, failed
 
     @staticmethod

@@ -30,7 +30,6 @@ from repro.experiments.common import reference_device
 from repro.optimize.faults import (
     CATEGORY_BAD_BIAS,
     CATEGORY_DC,
-    EvaluationFailure,
 )
 
 
@@ -155,6 +154,24 @@ class ExplodingDcModel:
         return getattr(self._inner, name)
 
 
+class HotBiasDcModel:
+    """Delegates to the real DC model, but its bias solve diverges —
+    for the whole call — whenever a queried row has vgs above a
+    threshold."""
+
+    def __init__(self, inner, vgs_threshold=0.55):
+        self._inner = inner
+        self._threshold = float(vgs_threshold)
+
+    def gm(self, vgs, vds):
+        if np.any(np.asarray(vgs) > self._threshold):
+            raise DcConvergenceError("Newton iteration diverged")
+        return self._inner.gm(vgs, vds)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 @pytest.fixture()
 def template():
     # reference_device() is lru_cached, so the small-signal device is
@@ -247,21 +264,12 @@ def test_dc_convergence_error_propagates_through_scalar_evaluate(
 # LnaEvaluator: penalties counted, logged, never cached
 # ----------------------------------------------------------------------
 
-def _diverging_solve(evaluator):
-    """A canned engine solve whose every row's bias point diverges, as
-    the engine reports it: one penalty record per row."""
-    def solve(rows):
-        return [evaluator._penalty(EvaluationFailure(
-            CATEGORY_DC, "Newton iteration diverged", x=x.copy()))
-            for x in rows], 0
-    return solve
-
-
 def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
         template, grids):
     band, guard = grids
     evaluator = LnaEvaluator(template, band, guard)
-    evaluator._solve_misses = _diverging_solve(evaluator)
+    # After compilation, so its verification ran on the honest model.
+    template.device.dc_model = ExplodingDcModel(template.device.dc_model)
 
     x = np.full(len(DesignVariables.NAMES), 0.5)
     perf = evaluator.performance(x)
@@ -282,11 +290,12 @@ def test_evaluator_scalar_absorbs_dc_failure_and_does_not_cache(
 def test_evaluator_recovers_after_transient_failure(template, grids):
     band, guard = grids
     evaluator = LnaEvaluator(template, band, guard)
-    evaluator._solve_misses = _diverging_solve(evaluator)
+    honest = template.device.dc_model
+    template.device.dc_model = ExplodingDcModel(honest)
     x = np.full(len(DesignVariables.NAMES), 0.5)
     assert evaluator.performance(x).is_failure
 
-    del evaluator._solve_misses  # the "transient" clears
+    template.device.dc_model = honest  # the "transient" clears
     recovered = evaluator.performance(x)
     assert not recovered.is_failure
     assert np.all(np.isfinite(recovered.nf_db))
@@ -294,6 +303,76 @@ def test_evaluator_recovers_after_transient_failure(template, grids):
     again = evaluator.performance(x)
     assert again is recovered
     assert evaluator.cache_hits == 1
+
+
+# Unit-box vgs 0.8 is 0.614 V and 0.2 is 0.416 V: above and below the
+# HotBiasDcModel threshold of 0.55 V.
+_HOT_ROWS = (1, 3)
+
+
+def _hot_population():
+    unit = np.random.default_rng(7).random((5, len(DesignVariables.NAMES)))
+    unit[:, 0] = 0.2
+    unit[list(_HOT_ROWS), 0] = 0.8
+    return unit
+
+
+def test_device_model_exception_isolates_its_rows(template, grids):
+    band, guard = grids
+    evaluator = LnaEvaluator(template, band, guard)
+    unit = _hot_population()
+    honest = CompiledTemplate(template, band, guard).performance_batch(unit)
+    template.device.dc_model = HotBiasDcModel(template.device.dc_model)
+
+    perfs = evaluator.performance_batch(unit)
+    for i, perf in enumerate(perfs):
+        if i in _HOT_ROWS:
+            assert perf.is_failure
+            assert perf.failure.category == CATEGORY_DC
+            assert "Newton iteration diverged" in perf.failure.message
+            assert perf.nf_max_db == PENALTY_NF_DB
+            assert perf.gt_min_db == PENALTY_GT_DB
+        else:
+            assert not perf.is_failure
+            for name in ("nf_db", "gt_db", "s11_db", "s22_db", "mu_min",
+                         "ids", "nf_max_db", "gt_min_db", "gt_ripple_db"):
+                assert np.array_equal(getattr(perf, name),
+                                      getattr(honest, name)[i]), name
+    assert evaluator.health.failures == {CATEGORY_DC: len(_HOT_ROWS)}
+
+
+def test_device_model_exception_quarantines_robust_corners(template):
+    from repro.optimize.robust import CornerSet, RobustEvaluator
+
+    band, guard = design_grid(5), stability_grid(6)
+    corners = CornerSet.bias(vgs_delta=0.01)
+    honest = RobustEvaluator(template, corners=corners, band_grid=band,
+                             guard_grid=guard, gt_ship_limit_db=11.0)
+    hot = RobustEvaluator(template, corners=corners, band_grid=band,
+                          guard_grid=guard, gt_ship_limit_db=11.0)
+    unit = _hot_population()
+    reference = honest.evaluate_batch(unit, screen=False)
+    template.device.dc_model = HotBiasDcModel(template.device.dc_model)
+
+    figures = hot.evaluate_batch(unit, screen=False)
+    cool = [i for i in range(unit.shape[0]) if i not in _HOT_ROWS]
+    hot_rows = list(_HOT_ROWS)
+    for name in ("yield_fraction", "nf_worst_db", "gt_worst_db",
+                 "mu_worst", "n_quarantined"):
+        assert np.array_equal(getattr(figures, name)[cool],
+                              getattr(reference, name)[cool]), name
+    # Every corner of a hot candidate raised: penalty figures, no yield.
+    assert np.all(figures.n_quarantined[hot_rows] == corners.n_corners)
+    assert np.all(figures.yield_fraction[hot_rows] == 0.0)
+    assert np.all(figures.nf_worst_db[hot_rows] == PENALTY_NF_DB)
+    assert np.all(figures.gt_worst_db[hot_rows] == PENALTY_GT_DB)
+
+    # The engine records each raising corner in the DC category.
+    x = CompiledTemplate._to_physical(unit[hot_rows])
+    _, failures, _ = hot._compiled.performance_batch_physical_isolated(
+        np.vstack([corners.apply(row) for row in x]))
+    assert [f.category for f in failures] == (
+        [CATEGORY_DC] * (len(hot_rows) * corners.n_corners))
 
 
 def test_evaluator_compiled_batch_mixes_penalty_and_healthy(
