@@ -254,11 +254,10 @@ def _assemble_tensor(circuit: Circuit, f_hz: np.ndarray,
     return y
 
 
-#: Public name of the tensor assembler.  The batched solver tiers
-#: (:mod:`repro.analysis.compiled` dense, :mod:`repro.analysis.sparsemna`
-#: condensed) both consume its output, so external callers building
-#: custom batches should use this instead of the private underscore
-#: name.
+#: Public name of the tensor assembler.  The condensed batch solve
+#: (:mod:`repro.analysis.sparsemna`) consumes its output, so external
+#: callers building custom batches should use this instead of the
+#: private underscore name.
 assemble_tensor = _assemble_tensor
 
 

@@ -10,9 +10,9 @@ singular while the circuit is physically fine.  Two tools defuse that:
   than an iterative estimator), sampled into per-run ``Metrics``
   histograms by :func:`observe_condition`;
 * :func:`equilibrated_solve` — row/column equilibration followed by
-  one step of iterative refinement, the escalation the solvers try on
-  a factorization that failed or went non-finite *before* giving up on
-  the row.  It is only ever invoked on already-failing solves, so
+  one step of iterative refinement, the escalation the scalar AC
+  solver and the DC solver try on a factorization that failed *before*
+  giving up.  It is only ever invoked on already-failing solves, so
   healthy results remain bit-for-bit identical to the plain
   ``np.linalg.solve`` path.
 """
@@ -27,7 +27,6 @@ from repro.obs import metrics as _obs_metrics
 __all__ = [
     "condition_log10",
     "observe_condition",
-    "observe_residual",
     "equilibrated_solve",
 ]
 
@@ -66,25 +65,6 @@ def observe_condition(matrix: np.ndarray, where: str) -> float:
         f"{where}.condition_log10", value if np.isfinite(value) else 320.0
     )
     return value
-
-
-def observe_residual(value: float, where: str) -> None:
-    """Sample one relative residual into the ``<where>.residual_log10``
-    histogram (no-op with guards off).
-
-    Nothing in the package calls it: it is kept only as the name the
-    e2e layer tracer patches in :mod:`repro.analysis.sparsemna`.  Zero
-    (an exactly satisfied system) clamps to the histogram floor instead
-    of ``-inf``; non-finite residuals clamp to the ceiling.
-    """
-    if not _guard_modes.enabled():
-        return
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        log = 320.0
-    else:
-        log = float(np.log10(max(value, 1e-320)))
-    _obs_metrics.observe(f"{where}.residual_log10", log)
 
 
 def _scale_vector(magnitudes: np.ndarray) -> np.ndarray:

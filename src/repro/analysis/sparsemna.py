@@ -1,9 +1,11 @@
 """Structure-exploiting sparse MNA: compile the pattern once, solve small.
 
-The batched dense solver (:func:`repro.analysis.compiled.solve_tensor_batch`)
-refactorizes a full ``(n, n)`` admittance matrix per candidate per
-frequency even though only a handful of stamp entries differ between
-candidates of one topology.  This module compiles that structure away:
+A dense batch solve would refactorize the full ``(n, n)`` admittance
+matrix per candidate per frequency even though only a handful of stamp
+entries differ between candidates of one topology.  This module
+compiles that structure away, and its plan is the one batch MNA solve
+of the compiled engine (the scalar
+:func:`repro.analysis.acsolver.solve_ac` is its per-circuit reference):
 
 * **Static condensation (Schur complement).**  Nodes are partitioned
   into an *external* set E — every node touched by a candidate-dependent
@@ -46,8 +48,9 @@ try:  # scipy is a declared dependency; tolerate its absence anyway.
 except ImportError:  # pragma: no cover - scipy ships with the package
     _HAVE_SPLU = False
 
-# Unused here; the e2e layer tracer (benchmarks/e2e/layers.py) patches it.
-from repro.analysis.conditioning import observe_residual  # noqa: F401
+# Patch target of benchmarks/e2e/layers.py; nothing calls it, and
+# ROADMAP item 11 step 1 deletes it.
+observe_residual = None
 
 __all__ = [
     "PatternError",
@@ -63,8 +66,7 @@ class PatternError(RuntimeError):
     Raised at plan-build time — e.g. the constant internal block is
     singular (its Schur complement does not exist even though the full
     matrix may be fine), or sparse LU support is unavailable.  The
-    compiled engine turns it into a ``CompileError``, and its callers
-    fall back to the scalar path.
+    compiled engine turns it into a ``CompileError``.
     """
 
 
@@ -267,8 +269,9 @@ class SparsePlan:
                       f_index: Optional[int] = None) -> np.ndarray:
         """One assembled reduced matrix ``M`` for conditioning guards.
 
-        Default: the mid-grid matrix of *candidate* — the sparse twin
-        of the dense path's mid-band ``condition_log10`` sample.
+        Default: the mid-grid matrix of *candidate* — the reduced
+        counterpart of the scalar solver's mid-band ``condition_log10``
+        sample.
         """
         f = self.n_freq // 2 if f_index is None else int(f_index)
         mt = self._schur_t[f].copy()
@@ -289,7 +292,7 @@ class SparsePlan:
         solution is contracted with the condensed right-hand sides.
 
         Raises ``numpy.linalg.LinAlgError`` when a reduced system is
-        singular, mirroring the dense kernel.
+        singular.
         """
         mt = self._assemble_t(coeffs, n_batch)
         # LAPACK dispatch on tiny matrices is overhead-bound: a flat

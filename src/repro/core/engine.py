@@ -54,11 +54,6 @@ from repro.analysis.acsolver import (
     _injection,
 )
 from repro.analysis.compiled import BatchNoiseSource
-# Unused here; the e2e layer tracer (benchmarks/e2e/layers.py) patches them.
-from repro.analysis.compiled import (  # noqa: F401
-    solve_tensor_batch,
-    solve_tensor_batch_isolated,
-)
 from repro.analysis.conditioning import observe_condition
 from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.analysis.netlist import (
@@ -100,6 +95,10 @@ from repro.rf.frequency import FrequencyGrid
 from repro.rf.noise import ca_from_cy
 from repro.rf.stability import mu_source
 from repro.util.constants import BOLTZMANN, T_AMBIENT
+
+# Patch targets of benchmarks/e2e/layers.py; nothing calls them, and
+# ROADMAP item 11 step 1 deletes them.
+solve_tensor_batch = solve_tensor_batch_isolated = None
 
 __all__ = [
     "CompileError",
@@ -473,8 +472,8 @@ class CompiledTemplate:
             psd = np.asarray(src.psd)
             if psd.ndim == 1:
                 # A scalar PSD over w columns is w independent scalar
-                # sources sharing one density (the dense kernel's
-                # ``psd * (i @ i^H)`` sums identically).
+                # sources sharing one density (``psd * (i @ i^H)``
+                # sums identically).
                 for k in range(width):
                     sp_scalar.append(
                         (offset + k - n_ports, "const", psd[:n_band])
@@ -586,7 +585,7 @@ class CompiledTemplate:
 
         zi = self._inv2x2(v_ports[:, :n_band, :, :2])
         # Every noise transfer at once: one matmul instead of a
-        # per-source loop (i_n = -(Y_net + G0) v_loaded, as dense).
+        # per-source loop (i_n = -(Y_net + G0) v_loaded).
         i_all = -(zi @ v_ports[:, :n_band, :, 2:])
         cy = np.zeros((n_batch, n_band, 2, 2), dtype=complex)
         if self._sc_cols.size:

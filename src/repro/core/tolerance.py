@@ -23,10 +23,9 @@ import numpy as np
 
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.bands import design_grid, stability_grid
-from repro.core.objectives import DesignSpec
 from repro.rf.frequency import FrequencyGrid
 
-__all__ = ["ToleranceSpec", "YieldResult", "monte_carlo_yield"]
+__all__ = ["ToleranceSpec", "YieldResult", "monte_carlo_yield", "ship_mask"]
 
 #: Relative tolerance fields (uniform half-widths) vs absolute volts.
 _RELATIVE_FIELDS = ("inductor", "capacitor", "resistor")
@@ -105,11 +104,26 @@ class YieldResult:
         return float(np.percentile(getattr(self, quantity), q))
 
 
+def ship_mask(batch, quarantined: np.ndarray, nf_limit_db: float,
+              gt_limit_db: float, mu_limit: float) -> np.ndarray:
+    """The shipping rule over one engine batch: a ``(B,)`` mask.
+
+    A board ships when NFmax <= *nf_limit_db*, GTmin >= *gt_limit_db*
+    and it is unconditionally stable (mu > *mu_limit*).  A
+    *quarantined* row (the engine returned its failure record) never
+    ships, whatever figures it carries.  *batch* is a
+    :class:`~repro.core.engine.BatchPerformance`.
+    """
+    return (~quarantined
+            & (batch.nf_max_db <= nf_limit_db)
+            & (batch.gt_min_db >= gt_limit_db)
+            & (batch.mu_min > mu_limit))
+
+
 def monte_carlo_yield(
     template: AmplifierTemplate,
     nominal: DesignVariables,
     tolerances: Optional[ToleranceSpec] = None,
-    spec: Optional[DesignSpec] = None,
     n_trials: int = 50,
     seed: Optional[int] = 0,
     band_grid: Optional[FrequencyGrid] = None,
@@ -120,10 +134,10 @@ def monte_carlo_yield(
 ) -> YieldResult:
     """Sample component variations and evaluate the shipping yield.
 
-    A board passes when NFmax <= *nf_ship_limit_db*, GTmin >=
-    *gt_ship_limit_db*, and it is unconditionally stable (mu > 1).
-    Return-loss and ripple are tracked in ``failures`` but judged
-    against the (looser) shipping limits derived from *spec*.
+    A board passes by :func:`ship_mask`: NFmax <= *nf_ship_limit_db*,
+    GTmin >= *gt_ship_limit_db*, and unconditionally stable (mu > 1).
+    ``failures`` counts the boards failing each of the three checks
+    (``"nf"``, ``"gt"``, ``"stability"``); one board can fail several.
 
     All trials are solved in one batched engine call (64-row blocks);
     trials whose solve fails quarantine through the failure taxonomy
@@ -137,7 +151,6 @@ def monte_carlo_yield(
     from repro.optimize.robust import CornerSet, PENALTY_NF_DB, PENALTY_GT_DB
 
     tolerances = tolerances or ToleranceSpec()
-    spec = spec or DesignSpec()
     band_grid = band_grid or design_grid(13)
     guard_grid = guard_grid or stability_grid(16)
     rng = np.random.default_rng(seed)
@@ -158,28 +171,18 @@ def monte_carlo_yield(
     gt_min[quarantined] = PENALTY_GT_DB
     mu_min[quarantined] = 0.0
 
-    failures: Dict[str, int] = {"nf": 0, "gt": 0, "stability": 0}
+    failures: Dict[str, int] = {
+        "nf": int(np.sum(nf_max > nf_ship_limit_db)),
+        "gt": int(np.sum(gt_min < gt_ship_limit_db)),
+        "stability": int(np.sum(mu_min <= 1.0)),
+    }
     if np.any(quarantined):
         failures["quarantined"] = int(np.sum(quarantined))
 
-    n_pass = 0
-    for trial in range(n_trials):
-        ok = True
-        if nf_max[trial] > nf_ship_limit_db:
-            failures["nf"] += 1
-            ok = False
-        if gt_min[trial] < gt_ship_limit_db:
-            failures["gt"] += 1
-            ok = False
-        if mu_min[trial] <= 1.0:
-            failures["stability"] += 1
-            ok = False
-        if ok:
-            n_pass += 1
-
     return YieldResult(
         n_trials=n_trials,
-        n_pass=n_pass,
+        n_pass=int(np.sum(ship_mask(batch, quarantined, nf_ship_limit_db,
+                                    gt_ship_limit_db, 1.0))),
         nf_max_db=nf_max,
         gt_min_db=gt_min,
         mu_min=mu_min,

@@ -55,7 +55,7 @@ from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.bands import design_grid, stability_grid
 from repro.core.engine import CompiledTemplate
 from repro.core.objectives import DesignSpec
-from repro.core.tolerance import ToleranceSpec
+from repro.core.tolerance import ToleranceSpec, ship_mask
 from repro.guards import contracts as _contracts
 from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.rf.frequency import FrequencyGrid
@@ -500,15 +500,15 @@ class RobustEvaluator:
             self._compiled.performance_batch_physical_isolated(corner_x))
         shape = (n_cand, n_corners)
         quarantined = np.array([f is not None for f in failures],
-                               dtype=bool).reshape(shape)
+                               dtype=bool)
+        passing = ship_mask(batch, quarantined, self.nf_ship_limit_db,
+                            self.gt_ship_limit_db,
+                            self.mu_ship).reshape(shape)
+        quarantined = quarantined.reshape(shape)
         healthy = ~quarantined
         nf = batch.nf_max_db.reshape(shape)
         gt = batch.gt_min_db.reshape(shape)
         mu = batch.mu_min.reshape(shape)
-        passing = (healthy
-                   & (nf <= self.nf_ship_limit_db)
-                   & (gt >= self.gt_ship_limit_db)
-                   & (mu > self.mu_ship))
         any_healthy = np.any(healthy, axis=1)
         # Worst cases over the healthy corners only; a candidate with no
         # healthy corner gets the penalty figures.

@@ -1,8 +1,9 @@
 """Per-candidate failure isolation in the solver and evaluation stack.
 
-Covers the degradation chain bottom-up: the isolated tensor solve
-(singular rows come back flagged, healthy rows bit-identical), the
-compiled engine's bad-bias masking and scalar fallback, and the
+Covers the degradation chain bottom-up: the engine's isolated condensed
+solve (rows that neither the condensed plan nor the scalar reference
+can solve come back flagged with penalty figures, healthy rows
+bit-identical), the compiled engine's bad-bias masking, and the
 LnaEvaluator's penalty semantics (failures counted, logged, and never
 cached as successes).
 """
@@ -10,12 +11,8 @@ cached as successes).
 import numpy as np
 import pytest
 
-from repro.analysis.compiled import (
-    BatchNoiseSource,
-    solve_tensor_batch,
-    solve_tensor_batch_isolated,
-)
 from repro.analysis.dc import DcConvergenceError
+from repro.analysis.sparsemna import build_plan
 from repro.core.amplifier import (
     PENALTY_GT_DB,
     PENALTY_NF_DB,
@@ -30,95 +27,134 @@ from repro.experiments.common import reference_device
 from repro.optimize.faults import (
     CATEGORY_BAD_BIAS,
     CATEGORY_DC,
+    CATEGORY_SINGULAR,
 )
 
 
 # ----------------------------------------------------------------------
-# solve_tensor_batch_isolated
+# the engine's isolated condensed solve
 # ----------------------------------------------------------------------
-
-def _healthy_tensor(n_batch=4, n_freq=3, n_nodes=2, scale=1.0):
-    """A well-conditioned two-node ladder, batched."""
-    y = np.zeros((n_batch, n_freq, n_nodes, n_nodes), dtype=complex)
-    for b in range(n_batch):
-        g = scale * (1.0 + 0.1 * b)
-        y[b, :, 0, 0] = 2.0 * g
-        y[b, :, 1, 1] = 2.0 * g
-        y[b, :, 0, 1] = -g
-        y[b, :, 1, 0] = -g
-    return y
-
 
 PORTS = np.array([0, 1])
 Z0 = 50.0
+FIGURES = ("nf_db", "gt_db", "s11_db", "s22_db", "mu_min", "ids",
+           "nf_max_db", "gt_min_db", "gt_ripple_db")
+R_STAB = DesignVariables.NAMES.index("r_stab")
 
 
-def test_isolated_matches_plain_solve_on_healthy_batch():
-    y = _healthy_tensor()
-    psd = np.full((4, 3), 1e-20)  # per-candidate scalar density
-    sources = [BatchNoiseSource(np.array([[1.0], [0.0]], dtype=complex),
-                                psd)]
-    s_ref, cy_ref, _ = solve_tensor_batch(y.copy(), PORTS, Z0, sources)
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
-    assert not np.any(failed)
-    assert np.array_equal(s, s_ref)
-    assert np.array_equal(cy, cy_ref)
+@pytest.fixture(scope="module")
+def engine():
+    return CompiledTemplate(AmplifierTemplate(reference_device().small_signal),
+                            design_grid(5), stability_grid(6), verify=False)
 
 
-def test_isolated_does_not_mutate_input_tensor():
-    y = _healthy_tensor()
-    before = y.copy()
-    solve_tensor_batch_isolated(y, PORTS, Z0)
-    assert np.array_equal(y, before)
-    # The raising variant used to stamp the port loads in place; both
-    # kernels are non-mutating now.
-    solve_tensor_batch(y, PORTS, Z0)
-    assert np.array_equal(y, before)
+def _physical_rows(engine, n_rows, seed):
+    unit = np.random.default_rng(seed).random(
+        (n_rows, len(DesignVariables.NAMES)))
+    return engine._to_physical(unit)
 
 
-def _make_singular(y, index):
-    """Make row *index* exactly singular after the 1/z0 load stamping."""
-    y[index] = 1.0
-    y[index, :, 0, 0] -= 1.0 / Z0
-    y[index, :, 1, 1] -= 1.0 / Z0
+def _make_singular(monkeypatch, engine, x, rows):
+    """Rows *rows* of *x* become unsolvable: the condensed solve raises
+    on any batch holding one of them, and so does the scalar reference."""
+    bad_g = (1.0 / x[rows, R_STAB]).astype(complex)
+    real_solve = engine._plan.solve_rows
+    real_evaluate = engine.template.evaluate
+
+    def solve_rows(coeffs, n_batch):
+        if np.any(np.isin(coeffs["Rstab"][:, 0], bad_g)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(coeffs, n_batch)
+
+    def evaluate(design, band, guard):
+        if design.r_stab in x[rows, R_STAB]:
+            raise ValueError("singular circuit (floating node or "
+                             "degenerate element)")
+        return real_evaluate(design, band, guard)
+
+    monkeypatch.setattr(engine._plan, "solve_rows", solve_rows)
+    monkeypatch.setattr(engine.template, "evaluate", evaluate)
 
 
-def test_isolated_flags_singular_rows_healthy_rows_bit_identical():
-    y = _healthy_tensor(n_batch=5)
-    _make_singular(y, 1)
-    _make_singular(y, 3)
-    psd = np.full((5, 3), 1e-20)
-    sources = [BatchNoiseSource(np.array([[1.0], [0.0]], dtype=complex),
-                                psd)]
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0, sources)
-    assert failed.tolist() == [False, True, False, True, False]
-    assert np.all(s[[1, 3]] == 0.0)
-    assert np.all(cy[[1, 3]] == 0.0)
+def test_isolated_matches_plain_solve_on_healthy_batch(engine):
+    """On a healthy batch the isolated solve returns exactly the figures
+    of one plain condensed solve: no row is re-solved or rescued."""
+    x = _physical_rows(engine, 4, seed=1)
+    admittances, scalar_psds, passive_psd, ids, bad_bias, _ = (
+        engine._candidate_values(x))
+    assert not np.any(bad_bias)
+    s, cy_band = engine._sparse_figures(
+        engine._plan.solve_rows(admittances, 4), 4, scalar_psds,
+        passive_psd)
+    plain = engine._figures(s, cy_band, ids)
+    batch, failures, n_fallbacks = (
+        engine.performance_batch_physical_isolated(x))
+    assert failures == [None] * 4
+    assert n_fallbacks == 0
+    for name in FIGURES:
+        assert np.array_equal(getattr(batch, name), getattr(plain, name))
 
-    # Healthy rows must equal a batch solve of only the healthy rows,
-    # with the per-candidate noise densities sliced accordingly.
+
+def test_isolated_does_not_mutate_input_tensor(monkeypatch, engine):
+    """Neither the candidate rows nor the compiled base and condensed
+    tensors change, also when the batch is re-solved row by row."""
+    x = _physical_rows(engine, 4, seed=2)
+    plan = engine._plan
+    before = [x.tobytes(), engine._base.tobytes(), plan._schur_t.tobytes(),
+              plan._rhs_red.tobytes()]
+    engine.performance_batch_physical_isolated(x)
+    _make_singular(monkeypatch, engine, x, [2])
+    engine.performance_batch_physical_isolated(x)
+    assert [x.tobytes(), engine._base.tobytes(), plan._schur_t.tobytes(),
+            plan._rhs_red.tobytes()] == before
+
+
+def test_isolated_flags_singular_rows_healthy_rows_bit_identical(
+        monkeypatch, engine):
+    x = _physical_rows(engine, 5, seed=3)
     healthy = [0, 2, 4]
-    sub_sources = [BatchNoiseSource(sources[0].columns, psd[healthy])]
-    s_ref, cy_ref, _ = solve_tensor_batch(y[healthy].copy(), PORTS, Z0,
-                                          sub_sources)
-    assert np.array_equal(s[healthy], s_ref)
-    assert np.array_equal(cy[healthy], cy_ref)
+    singles = [engine.performance_batch_physical(x[i:i + 1])
+               for i in healthy]
+    _make_singular(monkeypatch, engine, x, [1, 3])
+    batch, failures, n_fallbacks = (
+        engine.performance_batch_physical_isolated(x))
+    assert n_fallbacks == 0
+    assert [f is not None for f in failures] == [False, True, False, True,
+                                                 False]
+    for i in (1, 3):
+        assert failures[i].category == CATEGORY_SINGULAR
+        assert np.array_equal(failures[i].x, x[i])  # the physical row
+        assert batch.nf_max_db[i] == PENALTY_NF_DB
+        assert batch.gt_min_db[i] == PENALTY_GT_DB
+        assert batch.mu_min[i] == 0.0
+    # Healthy rows equal one-row solves: a singular neighbour does not
+    # change their roundoff.
+    for i, single in zip(healthy, singles):
+        for name in FIGURES:
+            assert np.array_equal(getattr(batch, name)[i],
+                                  getattr(single, name)[0]), name
 
 
-def test_isolated_all_rows_singular():
-    # Pre-compensate the diagonal so the tensor is exactly singular
-    # (rank 1) *after* the solver stamps the 1/z0 reference loads.
-    y = np.ones((3, 2, 2, 2), dtype=complex)
-    y[:, :, 0, 0] -= 1.0 / Z0
-    y[:, :, 1, 1] -= 1.0 / Z0
-    s, cy, _, failed = solve_tensor_batch_isolated(y, PORTS, Z0)
-    assert np.all(failed)
-    assert np.all(s == 0.0) and np.all(cy == 0.0)
+def test_isolated_all_rows_singular(monkeypatch, engine):
+    x = _physical_rows(engine, 3, seed=4)
+    _make_singular(monkeypatch, engine, x, [0, 1, 2])
+    batch, failures, n_fallbacks = (
+        engine.performance_batch_physical_isolated(x))
+    assert n_fallbacks == 0
+    assert [f.category for f in failures] == [CATEGORY_SINGULAR] * 3
+    assert np.all(batch.nf_max_db == PENALTY_NF_DB)
+    assert np.all(batch.gt_min_db == PENALTY_GT_DB)
+    assert np.all(batch.mu_min == 0.0)
 
 
 def test_isolated_shape_validation():
-    with pytest.raises(ValueError):
-        solve_tensor_batch_isolated(np.zeros((2, 3, 4)), PORTS, Z0)
+    """The batch solve takes its admittance tensor when the plan is
+    built, and rejects one that is not ``(F, n, n)`` there."""
+    rhs = np.eye(4, 2, dtype=complex)
+    for shape in ((2, 3, 4), (2, 3, 4, 4)):
+        with pytest.raises(ValueError, match=r"\(F, n, n\)"):
+            build_plan(np.zeros(shape, dtype=complex), [], PORTS, Z0, rhs,
+                       [0, 1])
 
 
 # ----------------------------------------------------------------------

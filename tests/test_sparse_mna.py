@@ -1,13 +1,12 @@
-"""Condensed-solve contracts: sparse plan, rescue chain, isolation, copies.
+"""Condensed-solve contracts: sparse plan, rescue chain, isolation.
 
 Companion to the random-circuit equivalence sweep — this file pins the
-*contract* surface of the compiled engine's condensed solve: the dense
-kernels never mutate their inputs, ``BatchACResult.candidate``
-detaches, the engine survives pickling, the paper's design pipeline
-agrees with the scalar oracle, guards sample the reduced matrix, rows
-the condensed batch cannot solve are rescued one at a time and then by
-the scalar path, an uncondensable template is a ``CompileError``, and
-the plan has one numeric strategy: every candidate's reduced system is
+*contract* surface of the compiled engine's condensed solve: the
+engine survives pickling, the paper's design pipeline agrees with the
+scalar oracle, guards sample the reduced matrix, rows the condensed
+batch cannot solve are rescued one at a time and then by the scalar
+path, an uncondensable template is a ``CompileError``, and the plan
+has one numeric strategy: every candidate's reduced system is
 refactorized in full, with no update or residual-tolerance knob.
 """
 
@@ -16,12 +15,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.analysis.compiled import (
-    BatchNoiseSource,
-    solve_ac_batch,
-    solve_tensor_batch,
-)
-from repro.analysis.netlist import Circuit
 from repro.analysis.sparsemna import MutableGroup, PatternError, build_plan
 from repro.core.amplifier import AmplifierTemplate, DesignVariables
 from repro.core.engine import CompiledTemplate, CompileError
@@ -33,9 +26,6 @@ from repro.core.objectives import (
 from repro.experiments.common import reference_device
 from repro.guards.modes import guard_mode
 from repro.obs.metrics import Metrics, get_metrics, set_metrics
-from repro.rf.frequency import FrequencyGrid
-
-GRID = FrequencyGrid.linear(1.0e9, 2.0e9, 5)
 
 
 @pytest.fixture()
@@ -57,67 +47,7 @@ def sparse_engine(lna_template):
     return CompiledTemplate(lna_template, verify=False)
 
 
-def _varying_tensor(n_batch=4, n_nodes=4):
-    """A healthy same-topology batch whose candidates differ in a few
-    entries."""
-    f = GRID.f_hz
-    y = np.zeros((n_batch, f.size, n_nodes, n_nodes), dtype=complex)
-    g = 1.0 / 75.0
-    for a, b in ((0, 2), (2, 3), (3, 1)):
-        y[:, :, a, a] += g
-        y[:, :, b, b] += g
-        y[:, :, a, b] -= g
-        y[:, :, b, a] -= g
-    for i in range(n_batch):
-        y[i, :, 2, 2] += 1e-3 * (1.0 + 0.25 * i)
-    return y
-
-
 PORTS = np.array([0, 1])
-
-
-# ----------------------------------------------------------------------
-# non-mutating kernel
-# ----------------------------------------------------------------------
-
-class TestNonMutatingKernel:
-    def test_solve_tensor_batch_leaves_input_bit_identical(self):
-        y = _varying_tensor()
-        psd = np.full((4, GRID.f_hz.size), 1e-20)
-        sources = [BatchNoiseSource(
-            np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex), psd
-        )]
-        before = y.tobytes()
-        solve_tensor_batch(y, PORTS, 50.0, sources)
-        assert y.tobytes() == before
-
-
-# ----------------------------------------------------------------------
-# candidate() detaches
-# ----------------------------------------------------------------------
-
-def _divider(r_top: float) -> Circuit:
-    circuit = Circuit("div")
-    circuit.port("p1", "in")
-    circuit.port("p2", "out")
-    circuit.resistor("Rtop", "in", "out", r_top)
-    circuit.resistor("Rbot", "out", "gnd", 50.0)
-    return circuit
-
-
-def test_candidate_returns_detached_copy():
-    batch = solve_ac_batch([_divider(100.0), _divider(200.0)], GRID,
-                           probe_nodes=("out",))
-    view = batch.candidate(0)
-    s_before = batch.s.copy()
-    cy_before = batch.cy.copy()
-    transfers_before = batch.node_transfers.copy()
-    view.s[:] = 99.0
-    view.cy[:] = 99.0
-    view.node_transfers[:] = 99.0
-    np.testing.assert_array_equal(batch.s, s_before)
-    np.testing.assert_array_equal(batch.cy, cy_before)
-    np.testing.assert_array_equal(batch.node_transfers, transfers_before)
 
 
 # ----------------------------------------------------------------------
