@@ -201,10 +201,10 @@ def test_bench_warmstart(tmp_path, save_report, report_dir,
 
     # NSGA-II over a biobjective bowl pair; best == min first objective.
     problem = MultiObjectiveProblem(
-        objectives=lambda x: np.array([
-            float(np.sum((x - 0.5) ** 2)),
-            float(np.sum((x + 0.5) ** 2)),
-        ]),
+        evaluate=lambda x: (np.column_stack([
+            np.sum((x - 0.5) ** 2, axis=1),
+            np.sum((x + 0.5) ** 2, axis=1),
+        ]), np.zeros((len(x), 0))),
         n_objectives=2,
         lower=np.array([-1.0, -1.0, -1.0]),
         upper=np.array([1.0, 1.0, 1.0]),

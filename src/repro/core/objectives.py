@@ -90,12 +90,10 @@ class LnaEvaluator:
     template is stamped into the engine when the evaluator is built, so
     a template mutated in place needs a new evaluator.
 
-    Objectives and constraints share one circuit solve per design
-    point; the quantized-key LRU cache serves an SLSQP step's
-    spec-constraint Jacobian from the stencil rows its attainment
-    Jacobian just solved (and the constraints at an iterate from its
-    objectives), and lets the multi-stage improved goal-attainment
-    flow revisit earlier iterates for free.  Keys quantize the unit
+    Objectives and constraints come from one record per design point
+    (:func:`build_lna_problem`); the quantized-key LRU cache lets the
+    multi-stage improved goal-attainment flow revisit earlier iterates
+    and starts for free.  Keys quantize the unit
     vector to 12 decimals — far below the ~1.5e-8 finite-difference
     step, so distinct probe points never collide — and normalize
     ``-0.0`` to ``+0.0`` (their byte patterns differ).
@@ -239,44 +237,32 @@ def build_lna_problem(template: AmplifierTemplate,
     """The (NFmax, -GTmin) problem with the spec's hard constraints.
 
     The problem is posed in the **unit box** [0, 1]^n; use
-    :meth:`DesignVariables.from_unit` to decode solution vectors.  In
-    addition to the scalar callables the problem carries
-    ``objectives_batch`` / ``constraints_batch`` — population-level
-    maps an optimizer can call with a ``(B, n)`` matrix to amortize the
-    MNA factorization across candidates; the scalar callables are their
-    one-row calls.
+    :meth:`DesignVariables.from_unit` to decode solution vectors.  Its
+    ``evaluate`` takes a ``(B, n)`` stack through one
+    :meth:`LnaEvaluator.performance_batch` call and reads both the
+    objectives and the :meth:`DesignSpec.constraints` of every row
+    from the same records.
     """
     spec = spec or DesignSpec()
     evaluator = evaluator or LnaEvaluator(template)
 
-    def objectives_batch(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray):
         perfs = evaluator.performance_batch(x)
-        return np.array([[p.nf_max_db, -p.gt_min_db] for p in perfs])
-
-    def constraints_batch(x: np.ndarray) -> np.ndarray:
-        perfs = evaluator.performance_batch(x)
-        return spec.constraints(
+        objectives = np.array([[p.nf_max_db, -p.gt_min_db] for p in perfs])
+        constraints = spec.constraints(
             np.array([p.s11_db for p in perfs]),
             np.array([p.s22_db for p in perfs]),
             np.array([p.mu_min for p in perfs]),
             np.array([p.gt_ripple_db for p in perfs]),
             np.array([p.ids for p in perfs]),
         )
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        return objectives_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def constraints(x: np.ndarray) -> np.ndarray:
-        return constraints_batch(np.asarray(x, dtype=float)[None, :])[0]
+        return objectives, constraints
 
     n_vars = len(DesignVariables.NAMES)
     return MultiObjectiveProblem(
-        objectives=objectives,
+        evaluate=evaluate,
         n_objectives=2,
         lower=np.zeros(n_vars),
         upper=np.ones(n_vars),
-        constraints=constraints,
         objective_names=("NFmax_dB", "-GTmin_dB"),
-        objectives_batch=objectives_batch,
-        constraints_batch=constraints_batch,
     )

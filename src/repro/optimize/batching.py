@@ -71,9 +71,9 @@ class BatchShardExecutor:
 
     :meth:`map_shards` splits the population into per-worker row
     blocks, runs the callable on each block concurrently, and returns
-    the per-block results **in row order**; :meth:`map_batch` stacks
-    array results back into one — bit-identical to the unsharded call
-    because every row meets the same code on the same data.
+    the per-block results **in row order**; restacked, they are
+    bit-identical to the unsharded call because every row meets the
+    same code on the same data.
     Exceptions propagate unchanged so the callers' existing
     batch→serial degradation still owns failure handling.
     """
@@ -108,13 +108,6 @@ class BatchShardExecutor:
         shards = np.array_split(population, n_shards, axis=0)
         futures = [pool.submit(fn, shard) for shard in shards]
         return [future.result() for future in futures]
-
-    def map_batch(self, fn: Callable[[np.ndarray], np.ndarray],
-                  population: np.ndarray) -> np.ndarray:
-        """``fn`` over row shards of *population*, restacked in order."""
-        parts = [np.asarray(part)
-                 for part in self.map_shards(fn, population)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def close(self) -> None:
         self._closed = True

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -57,7 +57,6 @@ from repro.optimize.batching import BatchShardExecutor, validate_workers
 from repro.optimize.checkpoint import CheckpointStore, resume_or_none
 from repro.optimize.faults import (
     CATEGORY_NON_FINITE,
-    FAILURE_EXCEPTIONS,
     RunHealth,
     classify_exception,
 )
@@ -71,14 +70,16 @@ from repro.optimize.metaheuristics import (
 
 __all__ = [
     "MultiObjectiveProblem",
+    "guarded_evaluate",
     "GoalAttainmentResult",
     "goal_attainment_standard",
     "goal_attainment_improved",
 ]
 
-#: Finite objective vector assigned to failed evaluations inside the
-#: SLSQP solve — ``inf``/``nan`` would break the line search, a large
-#: finite value just makes the point maximally unattractive.
+#: Finite value of every objective and constraint of a failed row
+#: (:func:`guarded_evaluate`) — ``inf``/``nan`` would break SLSQP's line
+#: search and NSGA-II's crowding distances; a large finite value just
+#: makes the point maximally unattractive.
 PENALTY_OBJECTIVE = 1.0e9
 
 #: SLSQP's default finite-difference step (its ``eps`` option): the
@@ -90,27 +91,23 @@ _FD_STEP = np.sqrt(np.finfo(np.float64).eps)
 class MultiObjectiveProblem:
     """A box-bounded multi-objective minimization problem.
 
-    ``objectives(x)`` returns the objective vector (all minimized);
-    ``constraints(x)``, when given, returns values that must end up
-    <= 0 at a feasible point.
-
-    ``objectives_batch`` / ``constraints_batch`` are optional
-    population-level companions: given a ``(B, n)`` matrix they return
-    ``(B, n_objectives)`` / ``(B, n_constraints)`` arrays matching the
-    scalar callables row by row.  Optimizers that evaluate whole
-    populations (NSGA-II, the improved goal-attainment probe stage)
-    use them when present to amortize the model solve across
-    candidates.
+    ``evaluate(X)`` maps a ``(B, n)`` stack of design points to the
+    objectives ``F`` (``(B, n_objectives)``, all minimized) and the
+    constraints ``G`` (``(B, k)``, each ``<= 0`` at a feasible point)
+    of every row, so a point's objectives and constraints come from
+    one model solve.  ``k = 0`` poses an unconstrained problem.
+    Optimizers call it only through :func:`guarded_evaluate`.
     """
 
-    objectives: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     n_objectives: int
     lower: np.ndarray
     upper: np.ndarray
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
     objective_names: Sequence[str] = ()
-    objectives_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    constraints_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    # Patch targets of benchmarks/e2e/layers.py, which wraps the ones a
+    # built problem sets; ROADMAP item 11 step 1 deletes them.
+    objectives = constraints = objectives_batch = constraints_batch = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -127,32 +124,92 @@ class MultiObjectiveProblem:
             )
 
     def sharded(self, executor) -> "MultiObjectiveProblem":
-        """This problem with its batch callables sharded over *executor*.
+        """This problem with ``evaluate`` sharded over *executor*.
 
         *executor* is a
         :class:`~repro.optimize.batching.BatchShardExecutor`; the
-        returned problem routes ``objectives_batch`` /
-        ``constraints_batch`` through ``executor.map_batch`` so the
-        per-worker row blocks evaluate concurrently (the model's hot
-        loop is numpy ``linalg.solve``, which releases the GIL).  Rows
-        restack in order, so results stay bit-identical to the
-        unsharded call; a problem with no batch callables is returned
-        unchanged.  The caller keeps ownership of *executor* and closes
-        it when the run is done.
+        returned problem evaluates per-worker row blocks concurrently
+        (the model's hot loop is numpy ``linalg.solve``, which releases
+        the GIL) and restacks ``F`` and ``G`` in row order, so results
+        stay bit-identical to the unsharded call.  The caller keeps
+        ownership of *executor* and closes it when the run is done.
         """
-        if self.objectives_batch is None and self.constraints_batch is None:
-            return self
+        evaluate = self.evaluate
 
-        def shard(fn):
-            if fn is None:
-                return None
-            return lambda population: executor.map_batch(fn, population)
+        def sharded_evaluate(x):
+            parts = executor.map_shards(evaluate, x)
+            return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
-        return replace(
-            self,
-            objectives_batch=shard(self.objectives_batch),
-            constraints_batch=shard(self.constraints_batch),
+        return replace(self, evaluate=sharded_evaluate)
+
+
+def guarded_evaluate(problem: MultiObjectiveProblem, x: np.ndarray,
+                     width: Optional[int] = None):
+    """``problem.evaluate(x)`` with every failed row isolated.
+
+    The one failure rule of the multi-objective optimizers:
+
+    * when ``evaluate`` raises an ``Exception`` on the stack, each row
+      is evaluated alone (``KeyboardInterrupt`` and ``SystemExit``
+      propagate, as in :func:`~repro.optimize.faults.guarded_call`);
+    * a row fails when it still raises (category
+      :func:`~repro.optimize.faults.classify_exception`) or when its
+      ``F`` or ``G`` holds a non-finite entry (``non_finite``);
+    * a failed row gets :data:`PENALTY_OBJECTIVE` in every ``F`` and
+      ``G`` entry: worse than any healthy row and, under any
+      constraint, never feasible;
+    * a result of the wrong row count or width raises ``ValueError``.
+
+    ``G`` has the width of the call's healthy rows; a call without one
+    gives its failed rows *width* columns (one when ``None``).
+
+    Returns ``(F, G, failures)``, where ``failures[i]`` is the failure
+    category of row *i* or ``None``.  Nothing is recorded here and no
+    retry is counted: each caller records the failures of the rows it
+    counts, so its health does not depend on how rows were batched.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n_rows, n_obj = x.shape[0], problem.n_objectives
+    failures: List[Optional[str]] = [None] * n_rows
+    try:
+        result = problem.evaluate(x)
+    except Exception:  # noqa: BLE001 - isolate the failing rows
+        rows = []
+        for i in range(n_rows):
+            try:
+                row = problem.evaluate(x[i:i + 1])
+            except Exception as exc:  # noqa: BLE001 - absorb per row
+                failures[i] = classify_exception(exc)
+                row = None
+            rows.append(_checked(row, 1, n_obj) if failures[i] is None
+                        else None)
+        widths = {g.shape[1] for _, g in filter(None, rows)}
+        if len(widths) > 1:
+            raise ValueError(f"evaluate returned G rows of widths {widths}")
+        k = widths.pop() if widths else (1 if width is None else width)
+        f = np.full((n_rows, n_obj), PENALTY_OBJECTIVE)
+        g = np.full((n_rows, k), PENALTY_OBJECTIVE)
+        for i, row in enumerate(rows):
+            if row is not None:
+                f[i], g[i] = row[0][0], row[1][0]
+    else:
+        f, g = _checked(result, n_rows, n_obj)
+    bad = ~(np.all(np.isfinite(f), axis=1) & np.all(np.isfinite(g), axis=1))
+    for i in np.flatnonzero(bad):
+        failures[i] = CATEGORY_NON_FINITE
+        f[i] = g[i] = PENALTY_OBJECTIVE
+    return f, g, failures
+
+
+def _checked(result, n_rows: int, n_obj: int):
+    """``evaluate``'s ``(F, G)`` as fresh float arrays, shapes checked."""
+    f, g = (np.array(part, dtype=float) for part in result)
+    if f.shape != (n_rows, n_obj) or g.ndim != 2 or g.shape[0] != n_rows:
+        raise ValueError(
+            f"evaluate returned F of shape {f.shape} and G of shape "
+            f"{g.shape} for {n_rows} rows of a {n_obj}-objective problem"
         )
+    return f, g
 
 
 @dataclass
@@ -177,12 +234,17 @@ class GoalAttainmentResult:
 
 
 class _CountedObjectives:
-    """Memoizing evaluation counter shared by all constraint callbacks.
+    """Counting memo over :func:`guarded_evaluate`, shared by the SLSQP
+    callbacks of a run.
 
-    Failure-isolated: an evaluation that raises one of
-    :data:`FAILURE_EXCEPTIONS` or returns non-finite entries yields the
-    finite :data:`PENALTY_OBJECTIVE` vector (recorded in ``health``)
-    instead of sinking the surrounding SLSQP solve.
+    ``nfev`` counts fresh objective rows: a row is fresh when it
+    differs from the row before it (the memo, for the first row of a
+    call), so a point that recurs after another counts again, and each
+    fresh row's failure is recorded in ``health``.  The memo holds the
+    ``F`` and ``G`` of the last counted row, so the constraints at the
+    point just evaluated cost nothing.  Failed rows follow
+    :func:`guarded_evaluate`: finite penalties instead of an exception
+    that would sink the surrounding SLSQP solve.
     """
 
     def __init__(self, problem: MultiObjectiveProblem,
@@ -192,28 +254,29 @@ class _CountedObjectives:
         self.nfev = 0
         self._last_key = None
         self._last_value = None
+        self._last_g = None
+        self._width = None
+
+    def _evaluate(self, points: np.ndarray):
+        """:func:`guarded_evaluate`, with the ``G`` width seen so far
+        given to calls whose every row fails."""
+        f, g, failures = guarded_evaluate(self._problem, points, self._width)
+        self._width = g.shape[1]
+        return f, g, failures
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         key = x.tobytes()
         if key != self._last_key:
-            try:
-                value = np.asarray(self._problem.objectives(x), dtype=float)
-            except FAILURE_EXCEPTIONS as exc:
-                self.health.record(classify_exception(exc))
-                value = np.full(self._problem.n_objectives, PENALTY_OBJECTIVE)
-            self._accept(key, value)
+            f, g, failures = self._evaluate(x[None, :])
+            self._accept(key, f[0], g[0], failures[0])
         return self._last_value
 
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        """``[self(x) for x in points]``, evaluated in one batch call.
+    def batch(self, points: np.ndarray):
+        """``F`` and ``G`` of ``[self(x) for x in points]``, in one call.
 
         Counts, memoizes and records failures exactly as the calls one
-        at a time would: a row is a fresh evaluation when it differs
-        from the row before it (the memo, for the first row), so a
-        point that recurs after another counts again.  The distinct
-        fresh rows go to ``problem.objectives_batch`` at once; without
-        one, or when the batch call raises one of
-        :data:`FAILURE_EXCEPTIONS`, the rows are evaluated one by one.
+        at a time would; the distinct fresh rows go to
+        :func:`guarded_evaluate` at once.
         """
         points = np.asarray(points, dtype=float)
         keys = [x.tobytes() for x in points]
@@ -223,43 +286,41 @@ class _CountedObjectives:
             if key != previous:
                 fresh.setdefault(key, x)
             previous = key
-        values = None
-        if fresh and self._problem.objectives_batch is not None:
-            try:
-                values = np.asarray(self._problem.objectives_batch(
-                    np.array(list(fresh.values()))), dtype=float)
-            except FAILURE_EXCEPTIONS:
-                pass
-        if values is None:
-            return np.array([self(x) for x in points])
-        if len(values) != len(fresh):
-            raise ValueError(
-                f"objectives_batch returned {len(values)} rows for "
-                f"{len(fresh)} points"
-            )
-        by_key = dict(zip(fresh, values))
-        out = np.empty((len(points), self._problem.n_objectives))
+        if fresh:
+            by_key = dict(zip(fresh, zip(*self._evaluate(
+                np.array(list(fresh.values()))))))
+        f = np.empty((len(points), self._problem.n_objectives))
+        g = []
         for i, key in enumerate(keys):
             if key != self._last_key:
-                self._accept(key, by_key[key])
-            out[i] = self._last_value
-        return out
+                self._accept(key, *by_key[key])
+            f[i] = self._last_value
+            g.append(self._memo_g())
+        return f, np.array(g)
 
-    def _accept(self, key: bytes, value) -> None:
-        """Count one fresh evaluation and memoize its (checked) value."""
-        n_obj = self._problem.n_objectives
-        value = np.asarray(value, dtype=float)
-        if value.shape != (n_obj,):
-            raise ValueError(
-                f"objectives returned shape {value.shape}, "
-                f"expected ({n_obj},)"
-            )
-        bad = ~np.isfinite(value)
-        if np.any(bad):
-            self.health.record(CATEGORY_NON_FINITE)
-            value = np.where(bad, PENALTY_OBJECTIVE, value)
-        self._last_value = value
-        self._last_key = key
+    def constraints(self, x: np.ndarray) -> np.ndarray:
+        """``G`` at a point, or at each row of a stack, uncounted.
+
+        The memo serves its own point; anything else is evaluated in
+        one call that leaves the memo, ``nfev`` and ``health`` alone.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1 and x.tobytes() == self._last_key:
+            return self._memo_g()
+        g = self._evaluate(np.atleast_2d(x))[1]
+        return g if x.ndim == 2 else g[0]
+
+    def _memo_g(self) -> np.ndarray:
+        if self._last_g is None:  # restored: checkpoints keep no G
+            point = np.frombuffer(self._last_key)[None, :]
+            self._last_g = self._evaluate(point)[1][0]
+        return self._last_g
+
+    def _accept(self, key: bytes, value, g, failure) -> None:
+        """Count one fresh evaluation and memoize its values."""
+        if failure is not None:
+            self.health.record(failure)
+        self._last_key, self._last_value, self._last_g = key, value, g
         self.nfev += 1
 
     # -- checkpoint support -------------------------------------------------
@@ -276,6 +337,7 @@ class _CountedObjectives:
         self.nfev = int(state["nfev"])
         self._last_key = state["last_key"]
         self._last_value = state["last_value"]
+        self._last_g = None
 
 
 class _Stencil:
@@ -288,12 +350,15 @@ class _Stencil:
     ``x`` first, then one step per coordinate, flipped at the bounds —
     so a caller can evaluate them in one batch; :meth:`jacobian` runs
     it again on the batch's values, so the differences and divisions
-    are scipy's own and the Jacobian is bit-identical.
+    are scipy's own and the Jacobian is bit-identical.  The batch that
+    differences the objectives leaves the points' constraints in ``g``
+    for the constraint block's Jacobian.
     """
 
     def __init__(self, x: np.ndarray, bounds):
         self.x = x
         self.bounds = bounds
+        self.g = None
         points = []
 
         def record(point):
@@ -335,16 +400,6 @@ def _stencil_memo(lower: np.ndarray, upper: np.ndarray):
     return at
 
 
-def _constraint_rows(problem: MultiObjectiveProblem,
-                     points: np.ndarray) -> np.ndarray:
-    """``problem.constraints`` on every row of *points*, in one
-    ``constraints_batch`` call when the problem has one."""
-    if problem.constraints_batch is not None:
-        return np.asarray(problem.constraints_batch(points), dtype=float)
-    return np.array([np.asarray(problem.constraints(x), dtype=float)
-                     for x in points])
-
-
 def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
                         x0, counter: _CountedObjectives,
                         max_iterations: int = 200):
@@ -352,9 +407,9 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
 
     Both constraint blocks carry a ``jac`` that evaluates SLSQP's own
     finite-difference stencil as one batch (:class:`_Stencil`): the
-    attainment block through :meth:`_CountedObjectives.batch`, the
-    spec block through ``constraints_batch`` on the same rows, which an
-    evaluator cache serves.  The trajectory is the one SLSQP takes
+    attainment block through :meth:`_CountedObjectives.batch`, whose
+    ``G`` the spec block differences (SLSQP differentiates the blocks
+    in order at one point).  The trajectory is the one SLSQP takes
     when it differences the constraints itself.
     """
     n_x = problem.lower.size
@@ -372,31 +427,27 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
 
     def attainment_jacobian(y):
         stencil = stencil_at(y)
-        values = counter.batch(stencil.points[:, :n_x])
+        values, stencil.g = counter.batch(stencil.points[:, :n_x])
         return stencil.jacobian(
             [attainment(p, f) for p, f in zip(stencil.points, values)]
         )
 
+    def spec_jacobian(y):
+        stencil = stencil_at(y)
+        return stencil.jacobian(-stencil.g)
+
+    x0 = np.asarray(x0, dtype=float)
+    f0 = counter(x0)
     constraint_list = [
         {"type": "ineq", "fun": attainment_constraints,
          "jac": attainment_jacobian},
     ]
-    if problem.constraints is not None:
-        def spec_jacobian(y):
-            stencil = stencil_at(y)
-            return stencil.jacobian(
-                -_constraint_rows(problem, stencil.points[:, :n_x])
-            )
-
+    if counter.constraints(x0).size:
         constraint_list.append(
             {"type": "ineq",
-             "fun": lambda y: -np.asarray(
-                 problem.constraints(y[:n_x]), dtype=float
-             ),
+             "fun": lambda y: -counter.constraints(y[:n_x]),
              "jac": spec_jacobian}
         )
-
-    f0 = counter(np.asarray(x0, dtype=float))
     gamma0 = float(np.max((f0 - goals) / weights)) + 0.1
     y0 = np.concatenate([x0, [gamma0]])
     gamma_span = 1e3 * (1.0 + abs(gamma0))
@@ -416,21 +467,22 @@ def _solve_gembicki_nlp(problem: MultiObjectiveProblem, goals, weights,
     )
 
 
-def _package(problem, counter, x, goals, weights, success, message,
+def _violation(g: np.ndarray) -> float:
+    """Largest constraint violation of one point's ``G`` (0 if none)."""
+    return float(np.max(np.maximum(g, 0.0), initial=0.0))
+
+
+def _package(counter, x, goals, weights, success, message,
              history) -> GoalAttainmentResult:
     f = counter(x)
     gamma = float(np.max((f - goals) / weights))
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(
-            np.max(np.maximum(problem.constraints(x), 0.0), initial=0.0)
-        )
     return GoalAttainmentResult(
         x=np.asarray(x, dtype=float), objectives=f, gamma=gamma,
         goals=np.asarray(goals, dtype=float),
         weights=np.asarray(weights, dtype=float), nfev=counter.nfev,
-        success=success, constraint_violation=violation, message=message,
-        history=history, health=counter.health,
+        success=success, constraint_violation=_violation(
+            counter.constraints(x)),
+        message=message, history=history, health=counter.health,
     )
 
 
@@ -463,8 +515,8 @@ def goal_attainment_standard(
     x_final, gamma, success, message = _solve_gembicki_nlp(
         problem, goals, weights, x0, counter, max_iterations
     )
-    return _package(problem, counter, x_final, goals, weights, success,
-                    message, history=[gamma])
+    return _package(counter, x_final, goals, weights, success, message,
+                    history=[gamma])
 
 
 def goal_attainment_improved(
@@ -602,20 +654,8 @@ def goal_attainment_improved(
         probes = _seed_population(probes, initial_population,
                                   problem.lower, problem.upper)
         with _obs_tracer.span("goal_attainment.probe", n_probe=n_probe):
-            probe_values = counter.batch(probes)
-        if problem.constraints is not None:
-            if problem.constraints_batch is not None:
-                feas = np.all(
-                    np.asarray(problem.constraints_batch(probes)) <= 0.0,
-                    axis=1,
-                )
-            else:
-                feas = np.array([
-                    np.all(np.asarray(problem.constraints(p)) <= 0.0)
-                    for p in probes
-                ])
-        else:
-            feas = np.ones(len(probes), dtype=bool)
+            probe_values, probe_g = counter.batch(probes)
+        feas = np.all(probe_g <= 0.0, axis=1)
         # Failed probes would inflate the ranges (and hence the
         # auto-scaled weights) by the penalty magnitude; scale from the
         # healthy probes only.
@@ -662,8 +702,8 @@ def goal_attainment_improved(
             x_final, gamma, success, message = _solve_gembicki_nlp(
                 problem, goals, weights, starts[k], counter, max_iterations
             )
-        candidate = _package(problem, counter, x_final, goals, weights,
-                             success, message, history=[])
+        candidate = _package(counter, x_final, goals, weights, success,
+                             message, history=[])
         history.append(candidate.gamma)
         if _better(candidate, best):
             best = candidate
@@ -689,8 +729,8 @@ def goal_attainment_improved(
                 problem, current_goals, weights, best.x, counter,
                 max_iterations
             )
-        candidate = _package(problem, counter, x_final, current_goals,
-                             weights, success, message, history=[])
+        candidate = _package(counter, x_final, current_goals, weights,
+                             success, message, history=[])
         history.append(candidate.gamma)
         if not candidate.success or candidate.constraint_violation > 1e-6:
             break
@@ -705,8 +745,8 @@ def goal_attainment_improved(
             break
 
     # Report gamma against the *original* goals for comparability.
-    final = _package(problem, counter, best.x, goals, weights,
-                     best.success, best.message, history)
+    final = _package(counter, best.x, goals, weights, best.success,
+                     best.message, history)
     if checkpoint_store is not None:
         checkpoint_store.clear()
     # The NLP starts run plus the winning design are this algorithm's

@@ -32,13 +32,12 @@ from repro.optimize.checkpoint import (
     CheckpointStore,
     resume_or_none,
 )
-from repro.optimize.faults import (
-    CATEGORY_NON_FINITE,
-    RunHealth,
-    classify_exception,
-)
+from repro.optimize.faults import RunHealth
 from repro.optimize.batching import BatchShardExecutor, validate_workers
-from repro.optimize.goal_attainment import MultiObjectiveProblem
+from repro.optimize.goal_attainment import (
+    MultiObjectiveProblem,
+    guarded_evaluate,
+)
 from repro.optimize.metaheuristics import (
     _emit_final_population,
     _emit_generation,
@@ -50,13 +49,6 @@ from repro.optimize.metaheuristics import (
 from repro.optimize.pareto import dominance_matrix
 
 __all__ = ["Nsga2Result", "nsga2"]
-
-#: Finite objective/violation assigned to failed candidates.  NSGA-II's
-#: crowding distance normalizes by the objective spread, so ``inf``
-#: would poison the whole front — a large finite figure keeps failed
-#: candidates strictly dominated instead.
-PENALTY_OBJECTIVE = 1.0e9
-
 
 @dataclass
 class Nsga2Result:
@@ -135,12 +127,16 @@ def nsga2(
     run journals its own final population (with the first objective as
     the fitness ordering) for the next warm start.
 
-    ``workers > 1`` shards the problem's batch callables across a
-    thread pool (:meth:`MultiObjectiveProblem.sharded`): the model's
-    hot loop releases the GIL, the row order is preserved, and the
-    per-row results — and hence the whole run — stay bit-identical to
-    the single-threaded evaluation.  A problem without batch callables
-    ignores ``workers``.
+    ``workers > 1`` shards the problem's ``evaluate`` across a thread
+    pool (:meth:`MultiObjectiveProblem.sharded`): the model's hot loop
+    releases the GIL, the row order is preserved, and the per-row
+    results — and hence the whole run — stay bit-identical to the
+    single-threaded evaluation.
+
+    A generation is one :func:`guarded_evaluate` call: failed
+    candidates get the finite penalty in every objective and
+    constraint (crowding distances normalize by the objective spread,
+    so ``inf`` would poison the whole front) and count in ``health``.
 
     With a ``checkpoint_store`` the complete generation state
     (population, objectives, violations, RNG state, health counters)
@@ -269,78 +265,13 @@ def _nsga2_run(problem, population_size, n_generations,
 # building blocks
 # ----------------------------------------------------------------------
 
-def _evaluate(problem, population, health=None):
-    if health is None:
-        health = RunHealth()
-    n = len(population)
-
-    objectives = None
-    if getattr(problem, "objectives_batch", None) is not None:
-        # Population-level evaluation: one batched model solve for the
-        # whole generation (value-identical to the per-individual loop).
-        try:
-            objectives = np.asarray(problem.objectives_batch(population),
-                                    dtype=float)
-            if objectives.shape[0] != n:
-                raise ValueError(
-                    f"objectives_batch returned {objectives.shape[0]} "
-                    f"rows for a population of {n}"
-                )
-        except Exception:  # noqa: BLE001 - degrade to the scalar loop
-            health.retries += 1
-            objectives = None
-    if objectives is None:
-        objectives = np.empty((n, problem.n_objectives), dtype=float)
-        for i, x in enumerate(population):
-            try:
-                objectives[i] = np.asarray(problem.objectives(x),
-                                           dtype=float)
-            except Exception as exc:  # noqa: BLE001 - absorb per candidate
-                health.record(classify_exception(exc))
-                objectives[i] = PENALTY_OBJECTIVE
-    bad = ~np.all(np.isfinite(objectives), axis=1)
-    if np.any(bad):
-        # Finite penalty, not inf: crowding distances must stay finite.
-        health.record(CATEGORY_NON_FINITE, int(np.sum(bad)))
-        objectives[bad] = PENALTY_OBJECTIVE
-
-    if problem.constraints is None:
-        violations = np.zeros(n)
-        violations[bad] = PENALTY_OBJECTIVE  # failed => never "feasible"
-        return objectives, violations
-
-    g = None
-    if getattr(problem, "constraints_batch", None) is not None:
-        try:
-            g = np.asarray(problem.constraints_batch(population),
-                           dtype=float)
-            if g.shape[0] != n:
-                raise ValueError(
-                    f"constraints_batch returned {g.shape[0]} rows "
-                    f"for a population of {n}"
-                )
-        except Exception:  # noqa: BLE001 - degrade to the scalar loop
-            health.retries += 1
-            g = None
-    if g is None:
-        rows: List[Optional[np.ndarray]] = []
-        for x in population:
-            try:
-                rows.append(np.asarray(problem.constraints(x),
-                                       dtype=float).reshape(-1))
-            except Exception:  # noqa: BLE001 - absorb per candidate
-                # The objective pass is the canonical failure counter;
-                # a failed constraint row just forfeits feasibility.
-                rows.append(None)
-        width = max((r.size for r in rows if r is not None), default=1)
-        g = np.full((n, width), PENALTY_OBJECTIVE, dtype=float)
-        for i, r in enumerate(rows):
-            if r is not None:
-                g[i] = r
-    g = np.where(np.isfinite(g), g, PENALTY_OBJECTIVE)
-    violations = np.max(np.maximum(g, 0.0), axis=1, initial=0.0)
-    violations[bad] = np.maximum(violations[bad], PENALTY_OBJECTIVE)
-    return objectives, violations
+def _evaluate(problem, population, health):
+    """Objectives and largest constraint violation of every row, each
+    failed row recorded in *health* (:func:`guarded_evaluate`)."""
+    objectives, g, failures = guarded_evaluate(problem, population)
+    for failure in filter(None, failures):
+        health.record(failure)
+    return objectives, np.max(np.maximum(g, 0.0), axis=1, initial=0.0)
 
 
 def _constrained_dominance(objectives, violations) -> np.ndarray:

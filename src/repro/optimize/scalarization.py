@@ -16,9 +16,9 @@ from scipy import optimize as sp_optimize
 from repro.optimize.goal_attainment import (
     GoalAttainmentResult,
     MultiObjectiveProblem,
-    _constraint_rows,
     _CountedObjectives,
     _stencil_memo,
+    _violation,
 )
 from repro.optimize.metaheuristics import latin_hypercube
 
@@ -58,24 +58,27 @@ def weighted_sum(
         # evaluated x, so the memo serves it.
         f0 = scalar(x)
         stencil = stencil_at(x, clip=False)
-        values = counter.batch(stencil.points)
+        values, stencil.g = counter.batch(stencil.points)
         return stencil.jacobian(
             [float(np.dot(weights, f)) for f in values], f0=f0
         )
 
-    stencil_at = _stencil_memo(problem.lower, problem.upper)
-    constraint_list = []
-    if problem.constraints is not None:
-        def constraint_jacobian(x):
-            stencil = stencil_at(x)
-            return stencil.jacobian(
-                -_constraint_rows(problem, stencil.points)
-            )
+    def constraint_jacobian(x):
+        # SLSQP takes the gradient first, at the same x; only an x
+        # outside the box gives the constraints a stencil of their own.
+        stencil = stencil_at(x)
+        if stencil.g is None:
+            stencil.g = counter.constraints(stencil.points)
+        return stencil.jacobian(-stencil.g)
 
+    stencil_at = _stencil_memo(problem.lower, problem.upper)
+    # SLSQP's first evaluation, at the first start, made early: its G
+    # tells whether the problem has constraints.
+    counter(starts[0])
+    constraint_list = []
+    if counter.constraints(starts[0]).size:
         constraint_list.append(
-            {"type": "ineq",
-             "fun": lambda x: -np.asarray(problem.constraints(x),
-                                          dtype=float),
+            {"type": "ineq", "fun": lambda x: -counter.constraints(x),
              "jac": constraint_jacobian}
         )
     best_x, best_value, best_success, best_message = None, np.inf, False, ""
@@ -86,10 +89,7 @@ def weighted_sum(
             constraints=constraint_list,
             options={"maxiter": max_iterations, "ftol": 1e-10},
         )
-        violation = 0.0
-        if problem.constraints is not None:
-            violation = float(np.max(np.maximum(
-                problem.constraints(solution.x), 0.0), initial=0.0))
+        violation = _violation(counter.constraints(solution.x))
         if violation <= 1e-6 and solution.fun < best_value:
             best_x = np.clip(solution.x, problem.lower, problem.upper)
             best_value = float(solution.fun)
@@ -101,12 +101,10 @@ def weighted_sum(
         best_success = False
         best_message = "no feasible weighted-sum solution found"
     f = counter(best_x)
-    violation = 0.0
-    if problem.constraints is not None:
-        violation = float(np.max(np.maximum(
-            problem.constraints(best_x), 0.0), initial=0.0))
+    violation = _violation(counter.constraints(best_x))
     return GoalAttainmentResult(
         x=best_x, objectives=f, gamma=0.0, goals=f.copy(),
         weights=weights, nfev=counter.nfev, success=best_success,
         constraint_violation=violation, message=best_message,
+        health=counter.health,
     )

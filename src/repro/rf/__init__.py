@@ -45,11 +45,6 @@ from repro.rf.matching import (
     simultaneous_conjugate_match,
     vswr_from_gamma,
 )
-from repro.rf.deembedding import (
-    open_short_deembed,
-    split_thru,
-    thru_deembed,
-)
 from repro.rf.touchstone import TouchstoneData, read_touchstone, write_touchstone
 
 __all__ = [
@@ -88,9 +83,6 @@ __all__ = [
     "mismatch_loss_db",
     "simultaneous_conjugate_match",
     "vswr_from_gamma",
-    "open_short_deembed",
-    "split_thru",
-    "thru_deembed",
     "TouchstoneData",
     "read_touchstone",
     "write_touchstone",

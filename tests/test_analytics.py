@@ -66,8 +66,9 @@ from repro.optimize.metaheuristics import (
     differential_evolution,
     particle_swarm,
 )
-from repro.optimize.nsga2 import MultiObjectiveProblem, nsga2
+from repro.optimize.nsga2 import nsga2
 from repro.service import JobQueue, JobService, JobSpec, ServiceClient
+from toy_problems import pointwise_problem
 
 
 @pytest.fixture()
@@ -603,7 +604,7 @@ class TestOptimizerSeeding:
                                 initial_population=seeds)
         assert result.fun <= sphere(seeds[0])
 
-        problem = MultiObjectiveProblem(
+        problem = pointwise_problem(
             objectives=lambda x: np.array([sphere(x),
                                            sphere(x - 0.5)]),
             n_objectives=2,

@@ -59,15 +59,10 @@ def _biobjective_batch(population):
     ], axis=1)
 
 
-def _biobjective(x):
-    return _biobjective_batch(np.atleast_2d(x))[0]
-
-
 def _batch_problem():
     return MultiObjectiveProblem(
-        objectives=_biobjective, n_objectives=2,
-        lower=np.zeros(3), upper=np.ones(3),
-        objectives_batch=_biobjective_batch,
+        evaluate=lambda x: (_biobjective_batch(x), np.zeros((len(x), 0))),
+        n_objectives=2, lower=np.zeros(3), upper=np.ones(3),
     )
 
 
@@ -274,23 +269,23 @@ def test_shared_health_accumulates_across_evaluators():
 def test_shard_executor_preserves_row_order():
     population = np.arange(22.0).reshape(11, 2)
     with BatchShardExecutor(workers=3) as executor:
+        parts = executor.map_shards(_sphere_batch, population)
+        assert len(parts) == 3
+        np.testing.assert_array_equal(np.concatenate(parts),
+                                      _sphere_batch(population))
         np.testing.assert_array_equal(
-            executor.map_batch(_sphere_batch, population),
-            _sphere_batch(population))
-        np.testing.assert_array_equal(
-            executor.map_batch(_biobjective_batch, population),
+            np.concatenate(executor.map_shards(_biobjective_batch,
+                                               population)),
             _biobjective_batch(population))
         # A single-row population takes the direct (pool-free) path.
-        np.testing.assert_array_equal(
-            executor.map_batch(_sphere_batch, population[:1]),
-            _sphere_batch(population[:1]))
+        assert len(executor.map_shards(_sphere_batch, population[:1])) == 1
 
 
 def test_shard_executor_rejects_use_after_close():
     executor = BatchShardExecutor(workers=2)
     executor.close()
     with pytest.raises(RuntimeError):
-        executor.map_batch(_sphere_batch, np.ones((4, 2)))
+        executor.map_shards(_sphere_batch, np.ones((4, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -332,12 +327,10 @@ def test_design_flow_workers_bit_identical():
                 DesignFlow(device, workers=2) as sharded:
             for _ in range(4):
                 population = rng.random((48, single.problem.lower.size))
-                np.testing.assert_array_equal(
-                    sharded.problem.objectives_batch(population),
-                    single.problem.objectives_batch(population))
-                np.testing.assert_array_equal(
-                    sharded.problem.constraints_batch(population),
-                    single.problem.constraints_batch(population))
+                for got, expected in zip(
+                        sharded.problem.evaluate(population),
+                        single.problem.evaluate(population)):
+                    np.testing.assert_array_equal(got, expected)
     finally:
         sys.setswitchinterval(interval)
 

@@ -22,10 +22,8 @@ from repro.optimize import (
     particle_swarm,
 )
 from repro.optimize.checkpoint import Checkpoint, resume_or_none
-from repro.optimize.goal_attainment import (
-    MultiObjectiveProblem,
-    goal_attainment_improved,
-)
+from repro.optimize.goal_attainment import goal_attainment_improved
+from toy_problems import pointwise_problem
 
 
 def rosenbrock(x):
@@ -286,7 +284,7 @@ def test_nsga2_kill_and_resume_bit_for_bit():
     objectives = _biobjective_problem()
 
     def make_problem(fn):
-        return MultiObjectiveProblem(
+        return pointwise_problem(
             objectives=fn, n_objectives=2,
             lower=np.zeros(2), upper=np.ones(2),
         )
@@ -314,7 +312,7 @@ def test_goal_attainment_improved_kill_and_resume():
     objectives = _biobjective_problem()
 
     def make_problem(fn):
-        return MultiObjectiveProblem(
+        return pointwise_problem(
             objectives=fn, n_objectives=2,
             lower=np.zeros(2), upper=np.ones(2),
         )

@@ -115,8 +115,7 @@ class TestObjectives:
         evaluator = LnaEvaluator(template)
         problem = build_lna_problem(template, evaluator=evaluator)
         unit_x = DesignVariables().to_unit()
-        objectives = problem.objectives(unit_x)
-        constraints = problem.constraints(unit_x)
+        (objectives,), (constraints,) = problem.evaluate(unit_x[None, :])
         perf = evaluator.performance(unit_x)
         assert objectives[0] == pytest.approx(perf.nf_max_db)
         assert objectives[1] == pytest.approx(-perf.gt_min_db)
@@ -127,12 +126,12 @@ class TestObjectives:
     def test_evaluator_caches_repeat_calls(self, template):
         evaluator = LnaEvaluator(template)
         problem = build_lna_problem(template, evaluator=evaluator)
-        unit_x = DesignVariables().to_unit()
-        problem.objectives(unit_x)
+        unit_x = DesignVariables().to_unit()[None, :]
+        problem.evaluate(unit_x)
         solves_after_first = evaluator.n_solves
-        problem.constraints(unit_x)
-        problem.objectives(unit_x)
+        problem.evaluate(unit_x)
         assert evaluator.n_solves == solves_after_first
+        assert evaluator.cache_hits == 1
 
     def test_spec_fields(self):
         spec = DesignSpec()

@@ -28,6 +28,7 @@ from repro.optimize.metaheuristics import (
     particle_swarm,
 )
 from repro.optimize.nsga2 import nsga2
+from toy_problems import pointwise_problem
 
 
 @pytest.fixture(scope="module")
@@ -221,30 +222,22 @@ class TestLnaEvaluatorCache:
 
 def _toy_problem(batch, nan_above=np.inf):
     """Two quadratic objectives on the unit square, one bound-like
-    constraint; with *batch*, the batch callables too.  Both objectives
-    are NaN where ``x[0] > nan_above``."""
-    def objectives(x):
-        return objectives_batch(np.asarray(x)[None, :])[0]
-
-    def objectives_batch(x):
+    constraint; without *batch*, ``evaluate`` refuses stacks, so every
+    row is evaluated alone.  Both objectives are NaN where
+    ``x[0] > nan_above``."""
+    def evaluate(x):
+        if not batch and len(x) > 1:
+            raise RuntimeError("one row at a time")
         values = np.column_stack([
             np.sum((x - 0.3) ** 2, axis=1),
             np.sum((x - 0.7) ** 2, axis=1),
         ])
         values[x[:, 0] > nan_above] = np.nan
-        return values
+        return values, x[:, :1] - 0.9
 
-    def constraints(x):
-        return np.array([x[0] - 0.9])
-
-    def constraints_batch(x):
-        return x[:, :1] - 0.9
-
-    extra = (dict(objectives_batch=objectives_batch,
-                  constraints_batch=constraints_batch) if batch else {})
     return MultiObjectiveProblem(
-        objectives=objectives, n_objectives=2, lower=np.zeros(2),
-        upper=np.ones(2), constraints=constraints, **extra)
+        evaluate=evaluate, n_objectives=2, lower=np.zeros(2),
+        upper=np.ones(2))
 
 
 class TestBatchObjectiveProtocol:
@@ -252,12 +245,10 @@ class TestBatchObjectiveProtocol:
         problem = build_lna_problem(template)
         x = np.full(len(DesignVariables.NAMES), 0.5)
         batch = np.vstack([x, x * 0.8])
-        f_batch = problem.objectives_batch(batch)
-        g_batch = problem.constraints_batch(batch)
-        np.testing.assert_allclose(f_batch[0], problem.objectives(x),
-                                   atol=1e-12)
-        np.testing.assert_allclose(g_batch[0], problem.constraints(x),
-                                   atol=1e-12)
+        f_batch, g_batch = problem.evaluate(batch)
+        f_row, g_row = problem.evaluate(x[None, :])
+        np.testing.assert_allclose(f_batch[:1], f_row, atol=1e-12)
+        np.testing.assert_allclose(g_batch[:1], g_row, atol=1e-12)
         assert f_batch.shape == (2, 2)
         assert g_batch.shape == (2, 5)
 
@@ -319,10 +310,11 @@ class TestBatchObjectiveProtocol:
 
         base = dict(n_objectives=2, lower=np.array([0.1, 0.0]),
                     upper=np.array([1.0, 5.0]))
-        scalar_problem = MultiObjectiveProblem(objectives=objectives, **base)
+        scalar_problem = pointwise_problem(objectives=objectives,
+                                           one_row=True, **base)
         batch_problem = MultiObjectiveProblem(
-            objectives=objectives, objectives_batch=objectives_batch, **base
-        )
+            evaluate=lambda x: (objectives_batch(x), np.zeros((len(x), 0))),
+            **base)
         kwargs = dict(population_size=16, n_generations=12, seed=2)
         front_scalar = nsga2(scalar_problem, **kwargs)
         front_batch = nsga2(batch_problem, **kwargs)

@@ -28,8 +28,8 @@ from repro.optimize.faults import (
     CATEGORY_NON_FINITE,
     CATEGORY_SINGULAR,
 )
-from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.analysis.dc import DcConvergenceError
+from toy_problems import pointwise_problem
 
 
 def sphere(x):
@@ -233,9 +233,12 @@ def test_nsga2_completes_with_counters_under_faults():
         objectives, p_raise=0.1, p_nan=0.1,
         nan_value=np.full(2, np.nan), seed=4,
     )
-    problem = MultiObjectiveProblem(
+    # A problem that evaluates one row at a time: every injector draw
+    # happens in the failure rule's row loop, so each injected fault is
+    # one failed row.
+    problem = pointwise_problem(
         objectives=injector, n_objectives=2,
-        lower=np.zeros(2), upper=np.ones(2),
+        lower=np.zeros(2), upper=np.ones(2), one_row=True,
     )
     result = nsga2(problem, population_size=16, n_generations=12, seed=0)
     assert len(result.x) > 0

@@ -8,31 +8,34 @@ from repro.optimize.goal_attainment import (
     goal_attainment_improved,
     goal_attainment_standard,
 )
+from repro.optimize.nsga2 import nsga2
 from repro.optimize.scalarization import weighted_sum
+from toy_problems import pointwise_problem
 
 
 def convex_biobjective():
     """f1 = |x - (1,0)|^2, f2 = |x + (1,0)|^2: Pareto set is the segment
     x in [-1, 1] x {0}."""
-    return MultiObjectiveProblem(
-        objectives=lambda x: np.array([
-            (x[0] - 1) ** 2 + x[1] ** 2,
-            (x[0] + 1) ** 2 + x[1] ** 2,
-        ]),
+    return pointwise_problem(
+        objectives=_convex_objectives,
         n_objectives=2,
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
     )
 
 
+def _convex_objectives(x):
+    return np.array([(x[0] - 1) ** 2 + x[1] ** 2,
+                     (x[0] + 1) ** 2 + x[1] ** 2])
+
+
 def constrained_problem():
     """Same objectives but x0 >= 0.25 required."""
-    base = convex_biobjective()
-    return MultiObjectiveProblem(
-        objectives=base.objectives,
+    return pointwise_problem(
+        objectives=_convex_objectives,
         n_objectives=2,
-        lower=base.lower,
-        upper=base.upper,
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
         constraints=lambda x: np.array([0.25 - x[0]]),
     )
 
@@ -46,7 +49,7 @@ def nonconvex_biobjective():
         f2 = 1 - np.exp(-((t + 1) ** 2))
         return np.array([f1, f2])
 
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=objectives,
         n_objectives=2,
         lower=np.array([-2.0]),
@@ -163,3 +166,56 @@ class TestScalarizationBaselines:
             weighted_sum(convex_biobjective(), [1.0])
         with pytest.raises(ValueError):
             weighted_sum(convex_biobjective(), [1.0, -2.0])
+
+
+def failing_constraints_problem():
+    """``constrained_problem`` whose constraints raise ``ValueError``
+    for x[0] > 0.9; the unconstrained attainment optimum for the goals
+    below sits at x[0] = 1, inside that region."""
+
+    def constraints(x):
+        if x[0] > 0.9:
+            raise ValueError("constraint model diverged")
+        return np.array([0.25 - x[0]])
+
+    return pointwise_problem(
+        objectives=_convex_objectives,
+        n_objectives=2,
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
+        constraints=constraints,
+    )
+
+
+class TestFailedRows:
+    """Every optimizer absorbs rows whose evaluation raises alike: they
+    count in ``health`` and are never the design returned."""
+
+    GOALS = np.array([0.0, 4.0])
+
+    @pytest.mark.parametrize("method", ["standard", "improved",
+                                        "weighted_sum"])
+    def test_goal_attainment_finishes(self, method):
+        problem = failing_constraints_problem()
+        if method == "standard":
+            result = goal_attainment_standard(problem, self.GOALS,
+                                              weights=[1.0, 1.0])
+        elif method == "improved":
+            result = goal_attainment_improved(problem, self.GOALS,
+                                              n_probe=16, n_starts=2,
+                                              seed=0)
+        else:  # pulled towards x[0] = 1 by the first objective alone
+            result = weighted_sum(problem, [1.0, 0.0], seed=0)
+        assert result.health.failures.get("exception", 0) > 0
+        assert result.health.retries == 0
+        assert result.x[0] <= 0.9
+        assert result.constraint_violation <= 1e-6
+        assert np.all(result.objectives < 1.0e9)
+
+    def test_nsga2_finishes(self):
+        result = nsga2(failing_constraints_problem(), population_size=16,
+                       n_generations=10, seed=0)
+        assert result.health.failures.get("exception", 0) > 0
+        assert result.health.retries == 0
+        assert np.all(result.x[:, 0] <= 0.9)
+        assert np.all(result.violations <= 1e-9)

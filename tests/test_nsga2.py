@@ -8,9 +8,9 @@ import pytest
 from repro.core.design import DesignFlow
 from repro.core.objectives import DesignSpec
 from repro.experiments.common import reference_device
-from repro.optimize.goal_attainment import MultiObjectiveProblem
 from repro.optimize.nsga2 import _nondominated_sort, nsga2
 from repro.optimize.pareto import pareto_filter
+from toy_problems import pointwise_problem
 
 # The package re-exports the function ``nsga2``, which shadows the
 # module of the same name as an attribute of ``repro.optimize``.
@@ -150,7 +150,7 @@ def zdt1_like(dim=5):
         f2 = g * (1.0 - np.sqrt(max(f1, 0.0) / g))
         return np.array([f1, f2])
 
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=objectives,
         n_objectives=2,
         lower=np.zeros(dim),
@@ -159,7 +159,7 @@ def zdt1_like(dim=5):
 
 
 def constrained_biobjective():
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=lambda x: np.array([
             (x[0] - 1) ** 2 + x[1] ** 2,
             (x[0] + 1) ** 2 + x[1] ** 2,

@@ -24,10 +24,8 @@ from repro.optimize import (
 )
 from repro.optimize.batching import PopulationEvaluator
 from repro.optimize.faults import CATEGORY_SINGULAR
-from repro.optimize.goal_attainment import (
-    MultiObjectiveProblem,
-    goal_attainment_improved,
-)
+from repro.optimize.goal_attainment import goal_attainment_improved
+from toy_problems import pointwise_problem
 
 
 def rosenbrock(x):
@@ -43,7 +41,7 @@ def _biobjective(x):
 
 
 def _problem(fn=_biobjective):
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=fn, n_objectives=2,
         lower=np.zeros(2), upper=np.ones(2),
     )

@@ -9,9 +9,12 @@ cache capacity is a class constant and its keys carry no template
 fingerprint.  The condensed plan is the one batch MNA solve, so the
 dense batched kernels and their residual histogram are gone, and
 ``monte_carlo_yield`` judges boards by the shipping limits alone, so it
-takes no ``spec``.
+takes no ``spec``.  No experiment, workload or example de-embedded a
+fixture, so ``repro.rf.deembedding`` is gone.  A multi-objective
+problem has one callable, ``evaluate``.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -27,6 +30,8 @@ DELETED_NAMES = {
     "repro.core.objectives": ["_stable_describe"],
     "repro.core.tolerance": ["_perturb"],
     "repro.analysis.conditioning": ["observe_residual"],
+    "repro.rf": ["open_short_deembed", "split_thru", "thru_deembed"],
+    "repro.optimize.goal_attainment": ["_constraint_rows"],
 }
 
 DENSE_BATCH_NAMES = ("BatchACResult", "solve_ac_batch", "solve_tensor_batch",
@@ -84,3 +89,19 @@ def test_monte_carlo_yield_takes_no_spec(template):
     with pytest.raises(TypeError):
         monte_carlo_yield(template, DesignVariables(), n_trials=1,
                           spec=DesignSpec())
+
+
+def test_deembedding_module_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.rf.deembedding")
+
+
+def test_problem_has_one_callable_field():
+    from repro.optimize.goal_attainment import MultiObjectiveProblem
+
+    fields = [f.name for f in dataclasses.fields(MultiObjectiveProblem)]
+    assert fields == ["evaluate", "n_objectives", "lower", "upper",
+                      "objective_names"]
+    with pytest.raises(TypeError):
+        MultiObjectiveProblem(objectives=lambda x: x, n_objectives=2,
+                              lower=[0.0], upper=[1.0])

@@ -31,6 +31,7 @@ from repro.experiments.common import reference_device
 from repro.obs.journal import RunJournal, set_journal
 from repro.optimize import MemoryCheckpointStore, nsga2
 from repro.optimize.faults import FaultInjector
+from repro.optimize.goal_attainment import _CountedObjectives
 from repro.optimize.metaheuristics import differential_evolution
 from repro.optimize.pareto import pareto_filter
 from repro.optimize.robust import (
@@ -447,26 +448,30 @@ class TestRobustProblem:
     def test_shape_and_names(self, template):
         problem = build_robust_problem(
             template, evaluator=_evaluator(template))
-        x = np.full(N_VARS, 0.5)
+        x = np.full((2, N_VARS), 0.5)
         assert problem.n_objectives == 3
-        assert problem.objectives(x).shape == (3,)
-        assert problem.constraints(x).shape == (5,)
+        objectives, constraints = problem.evaluate(x)
+        assert objectives.shape == (2, 3)
+        assert constraints.shape == (2, 5)
         assert problem.objective_names == ("NFworst_dB", "-GTworst_dB",
                                            "-yield")
 
     def test_memo_shares_one_sweep_per_point(self, template):
+        # The optimizers' counting memo keeps a point's constraints
+        # from the sweep that gave its objectives.
         evaluator = _evaluator(template)
-        problem = build_robust_problem(template, evaluator=evaluator)
+        counter = _CountedObjectives(
+            build_robust_problem(template, evaluator=evaluator))
         x = np.full(N_VARS, 0.5)
-        problem.objectives(x)
-        problem.constraints(x)  # same point: served from the memo
+        counter(x)
+        counter.constraints(x)  # same point: served from the memo
         assert evaluator.n_sweeps == 1
-        problem.objectives(np.full(N_VARS, 0.4))
+        counter(np.full(N_VARS, 0.4))
         assert evaluator.n_sweeps == 2
 
 
 class _KillAfterBatches:
-    """Batch-objective wrapper that interrupts after n calls."""
+    """``evaluate`` wrapper that interrupts after n calls."""
 
     def __init__(self, fn, n_calls):
         self._fn = fn
@@ -486,8 +491,8 @@ class TestRobustNsga2:
                                screen_fraction=0.5, min_screen_history=12)
         problem = build_robust_problem(template, evaluator=evaluator)
         if kill_after is not None:
-            problem.objectives_batch = _KillAfterBatches(
-                problem.objectives_batch, kill_after)
+            problem.evaluate = _KillAfterBatches(problem.evaluate,
+                                                 kill_after)
         return evaluator, problem
 
     def test_front_smoke(self, template):

@@ -33,6 +33,7 @@ from repro.optimize.goal_attainment import (
     goal_attainment_standard,
 )
 from repro.optimize.scalarization import weighted_sum
+from toy_problems import pointwise_problem
 
 
 def _pointwise_minimize(fun, x0, constraints=(), **kwargs):
@@ -63,31 +64,18 @@ def pointwise(monkeypatch):
 
 
 def _recording(problem):
-    """*problem* with every callable logging the points it is asked for.
+    """*problem* with ``evaluate`` logging the points it is asked for.
 
     Returns the problem and the log; ``_distinct(log)`` is the order in
     which new points were first evaluated.
     """
     log = []
 
-    def scalar(fn):
-        if fn is None:
-            return None
-        return lambda x: (log.append(np.asarray(x).tobytes()), fn(x))[1]
+    def evaluate(rows):
+        log.extend(np.asarray(r).tobytes() for r in rows)
+        return problem.evaluate(rows)
 
-    def batch(fn):
-        if fn is None:
-            return None
-        return lambda rows: (log.extend(np.asarray(r).tobytes()
-                                        for r in rows), fn(rows))[1]
-
-    return dataclasses.replace(
-        problem,
-        objectives=scalar(problem.objectives),
-        constraints=scalar(problem.constraints),
-        objectives_batch=batch(problem.objectives_batch),
-        constraints_batch=batch(problem.constraints_batch),
-    ), log
+    return dataclasses.replace(problem, evaluate=evaluate), log
 
 
 def _distinct(log):
@@ -119,7 +107,8 @@ def _both(pointwise, make_problem, run):
 
 
 def _nonfinite_problem(batched: bool):
-    """A convex pair whose first objective is NaN for x[0] > 0.6."""
+    """A convex pair whose first objective is NaN for x[0] > 0.6;
+    unless *batched*, the problem evaluates one row at a time."""
 
     def objectives(x):
         x = np.asarray(x, dtype=float)
@@ -127,13 +116,11 @@ def _nonfinite_problem(batched: bool):
         return np.array([np.nan if x[0] > 0.6 else f1,
                          (x[0] + 1) ** 2 + x[1] ** 2])
 
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=objectives, n_objectives=2,
         lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
         constraints=lambda x: np.array([0.1 - x[1] ** 2 - x[0]]),
-        objectives_batch=(lambda rows: np.array([objectives(x)
-                                                 for x in rows]))
-        if batched else None,
+        one_row=not batched,
     )
 
 
@@ -187,9 +174,12 @@ class TestTrajectoryIdentity:
 
 
 def _quadratic_problem(batch_fn="rows", fail_above=None):
-    """Two quadratics; ``batch_fn`` picks the batch callable: ``"rows"``
-    (healthy), ``"nan"`` (both callables give +inf for x[0] > 0.5),
-    ``"raise"`` (the batch call always raises) or ``None`` (absent)."""
+    """Two quadratics; ``batch_fn`` picks how ``evaluate`` takes a stack
+    of more than one row: ``"rows"`` (healthy), ``"nan"`` (+inf for
+    x[0] > 0.5), ``"raise"`` (the stack call raises) or ``None`` (a
+    problem that refuses stacks: one row at a time).  A one-row call
+    raises for x[0] > *fail_above*.  ``calls`` logs one-row calls as
+    ``"scalar"`` and the sizes of larger ones as ``"batch"``."""
     calls = {"scalar": 0, "batch": []}
 
     def value(x):
@@ -198,22 +188,22 @@ def _quadratic_problem(batch_fn="rows", fail_above=None):
             f[0] = np.inf
         return f
 
-    def objectives(x):
-        calls["scalar"] += 1
-        if fail_above is not None and x[0] > fail_above:
-            raise ValueError("model diverged")
-        return value(x)
-
-    def objectives_batch(rows):
-        calls["batch"].append(len(rows))
-        if batch_fn == "raise":
-            raise np.linalg.LinAlgError("singular batch")
-        return np.array([value(x) for x in rows])
+    def evaluate(rows):
+        if len(rows) == 1:
+            calls["scalar"] += 1
+            if fail_above is not None and rows[0][0] > fail_above:
+                raise ValueError("model diverged")
+        else:
+            calls["batch"].append(len(rows))
+            if batch_fn == "raise":
+                raise np.linalg.LinAlgError("singular batch")
+            if batch_fn is None:
+                raise RuntimeError("one row at a time")
+        return np.array([value(x) for x in rows]), np.zeros((len(rows), 0))
 
     problem = MultiObjectiveProblem(
-        objectives=objectives, n_objectives=2,
+        evaluate=evaluate, n_objectives=2,
         lower=np.zeros(2), upper=np.ones(2),
-        objectives_batch=None if batch_fn is None else objectives_batch,
     )
     return problem, calls
 
@@ -237,8 +227,9 @@ class TestCountedBatch:
         twin, expected = self._twin(problem, memo)
         counter = _CountedObjectives(problem)
         counter(memo)
-        values = counter.batch(self.POINTS)
+        values, g = counter.batch(self.POINTS)
         np.testing.assert_array_equal(values, expected)
+        assert g.shape == (len(self.POINTS), 0)
         assert counter.nfev == twin.nfev == 1 + 4
         assert counter.health == twin.health
         assert counter.state()["last_key"] == self.POINTS[-1].tobytes()
@@ -263,9 +254,12 @@ class TestCountedBatch:
     def test_nonfinite_entries_become_penalty(self):
         problem, _ = _quadratic_problem("nan")
         counter = _CountedObjectives(problem)
-        values = counter.batch(self.POINTS)
-        assert np.all(values[self.POINTS[:, 0] > 0.5, 0]
+        values, _ = counter.batch(self.POINTS)
+        # A failed row is penalized whole, not per entry.
+        assert np.all(values[self.POINTS[:, 0] > 0.5]
                       == PENALTY_OBJECTIVE)
+        assert np.all(values[self.POINTS[:, 0] <= 0.5]
+                      < PENALTY_OBJECTIVE)
         # [0.7, 0.1] is a fresh evaluation twice (after 0.3 and after
         # 0.1); its repeat at the end is the memo.
         assert counter.health.failures == {CATEGORY_NON_FINITE: 2}
@@ -273,11 +267,43 @@ class TestCountedBatch:
     def test_failing_batch_falls_back_to_rows(self):
         problem, calls = _quadratic_problem("raise", fail_above=0.5)
         counter = _CountedObjectives(problem, RunHealth())
-        values = counter.batch(self.POINTS)
+        values, _ = counter.batch(self.POINTS)
+        # The three distinct fresh rows are re-evaluated one by one;
+        # the failing one counts (and fails) twice, as it does pointwise.
         assert calls["batch"] == [3]
-        assert calls["scalar"] == counter.nfev == 5
+        assert calls["scalar"] == 3
+        assert counter.nfev == 5
         assert np.all(values[3] == PENALTY_OBJECTIVE)
-        assert counter.health.n_failures == 2
+        assert counter.health.failures == {"exception": 2}
+        assert counter.health.retries == 0
+
+
+    def test_failed_rows_take_the_width_seen_before(self):
+        # A call whose every row fails cannot tell G's width; the
+        # counter gives it the width of the rows it has seen, so SLSQP's
+        # constraint block keeps its size.
+        def constraints(x):
+            if x[0] > 0.5:
+                raise ValueError("model diverged")
+            return np.array([x[0] - 0.9, x[1] - 0.9])
+
+        problem = pointwise_problem(
+            objectives=lambda x: np.array([x[0] ** 2, x[1] ** 2]),
+            n_objectives=2, lower=np.zeros(2), upper=np.ones(2),
+            constraints=constraints)
+        counter = _CountedObjectives(problem)
+        assert counter.constraints(np.array([0.1, 0.2])).shape == (2,)
+        g = counter.constraints(np.array([0.7, 0.2]))
+        assert g.shape == (2,) and np.all(g == PENALTY_OBJECTIVE)
+        values, g = counter.batch(np.array([[0.3, 0.2], [0.7, 0.1],
+                                            [0.8, 0.1]]))
+        assert g.shape == (3, 2)
+        assert np.all(values[1:] == PENALTY_OBJECTIVE)
+        assert np.all(g[1:] == PENALTY_OBJECTIVE)
+        values, g = counter.batch(np.array([[0.9, 0.1], [0.6, 0.1]]))
+        assert g.shape == (2, 2) and np.all(g == PENALTY_OBJECTIVE)
+        assert counter.nfev == 5
+        assert counter.health.failures == {"exception": 4}
 
 
 _REAL_SOLVE = ga._solve_gembicki_nlp
@@ -300,7 +326,7 @@ def _feasible_after(n_bad):
 
 
 def _constrained():
-    return MultiObjectiveProblem(
+    return pointwise_problem(
         objectives=lambda x: np.array([(x[0] - 1) ** 2 + x[1] ** 2,
                                        (x[0] + 1) ** 2 + x[1] ** 2]),
         n_objectives=2, lower=np.array([-3.0, -3.0]),

@@ -83,19 +83,18 @@ def test_design_problem_agrees_across_tiers(lna_template):
                                     evaluator.band_grid,
                                     evaluator.guard_grid)
               for x in pop]
-    expected = {
-        "objectives_batch": [[p.nf_max_db, -p.gt_min_db] for p in oracle],
-        "constraints_batch": [[
+    expected = [
+        [[p.nf_max_db, -p.gt_min_db] for p in oracle],
+        [[
             np.max(p.s11_db) + spec.rl_spec_db,
             np.max(p.s22_db) + spec.rl_spec_db,
             spec.mu_margin - p.mu_min,
             p.gt_ripple_db - spec.ripple_spec_db,
             (p.ids - spec.ids_max) / spec.ids_max,
         ] for p in oracle],
-    }
-    for name, rows in expected.items():
-        np.testing.assert_allclose(getattr(problem, name)(pop), rows,
-                                   rtol=1e-9, atol=1e-9)
+    ]
+    for got, rows in zip(problem.evaluate(pop), expected):
+        np.testing.assert_allclose(got, rows, rtol=1e-9, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
